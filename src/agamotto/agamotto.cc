@@ -140,10 +140,7 @@ bool AgamottoCheckpointManager::RestoreCheckpoint(int id) {
     return false;
   }
   mem_.SyncDirty();
-  auto restore_page = [&](uint32_t page) {
-    memcpy(mem_.base() + static_cast<size_t>(page) * kPageSize, ResolvePage(id, page),
-           kPageSize);
-  };
+  auto restore_page = [&](uint32_t page) { mem_.RestorePage(page, ResolvePage(id, page)); };
 
   // Pages in the old and new lineages' deltas may differ between the two
   // states even though they are not in the dirty log.

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -13,6 +14,8 @@
 namespace nyx {
 
 using Bytes = std::vector<uint8_t>;
+// Read-only view of bytes inside a larger buffer; Bytes converts to it.
+using ByteView = std::span<const uint8_t>;
 
 inline Bytes ToBytes(std::string_view s) {
   return Bytes(s.begin(), s.end());
@@ -28,14 +31,14 @@ inline std::string_view AsStringView(const Bytes& b) {
 
 // Little-endian scalar accessors; reads past the end return 0 so parsers can
 // be written without pre-checking lengths everywhere.
-inline uint16_t ReadLe16(const Bytes& b, size_t off) {
+inline uint16_t ReadLe16(ByteView b, size_t off) {
   if (off + 2 > b.size()) {
     return 0;
   }
   return static_cast<uint16_t>(b[off]) | static_cast<uint16_t>(b[off + 1]) << 8;
 }
 
-inline uint32_t ReadLe32(const Bytes& b, size_t off) {
+inline uint32_t ReadLe32(ByteView b, size_t off) {
   if (off + 4 > b.size()) {
     return 0;
   }
@@ -44,14 +47,14 @@ inline uint32_t ReadLe32(const Bytes& b, size_t off) {
   return v;
 }
 
-inline uint16_t ReadBe16(const Bytes& b, size_t off) {
+inline uint16_t ReadBe16(ByteView b, size_t off) {
   if (off + 2 > b.size()) {
     return 0;
   }
   return static_cast<uint16_t>(b[off]) << 8 | static_cast<uint16_t>(b[off + 1]);
 }
 
-inline uint32_t ReadBe32(const Bytes& b, size_t off) {
+inline uint32_t ReadBe32(ByteView b, size_t off) {
   if (off + 4 > b.size()) {
     return 0;
   }

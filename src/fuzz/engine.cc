@@ -27,24 +27,22 @@ NyxEngine::NyxEngine(const EngineConfig& config, TargetFactory factory, const Sp
   SnapshotStateRegistry::HostState netemu_state;
   netemu_state.name = "netemu.socket_table";
   netemu_state.owner = "src/netemu/netemu.cc";
-  netemu_state.capture = [this] { return net_.Serialize(); };
-  netemu_state.restore = [this](const Bytes& blob) { return net_.Deserialize(blob); };
+  netemu_state.capture = [this](Bytes& out) { net_.SerializeTo(out); };
+  netemu_state.restore = [this](ByteView blob) { return net_.Deserialize(blob); };
   state_registry_.RegisterHostState(std::move(netemu_state));
 
   SnapshotStateRegistry::HostState interp_state;
   interp_state.name = "engine.interp";
   interp_state.owner = "src/fuzz/engine.cc";
-  interp_state.capture = [this] {
-    Bytes out;
+  interp_state.capture = [this](Bytes& out) {
     PutLe32(out, static_cast<uint32_t>(value_conns_.size()));
     for (int c : value_conns_) {
       PutLe32(out, static_cast<uint32_t>(c));
     }
     PutLe32(out, resume_op_);
     PutLe32(out, static_cast<uint32_t>(connection_ops_seen_));
-    return out;
   };
-  interp_state.restore = [this](const Bytes& blob) {
+  interp_state.restore = [this](ByteView blob) {
     size_t off = 0;
     const uint32_t nvals = ReadLe32(blob, off);
     off += 4;
@@ -79,12 +77,13 @@ NyxEngine::NyxEngine(const EngineConfig& config, TargetFactory factory, const Sp
   state_registry_.DeclareEphemeral("telemetry.trace_ring", "src/common/trace.cc");
 }
 
-Bytes NyxEngine::SerializeInterpState(uint32_t resume_op) {
+const Bytes& NyxEngine::SerializeInterpState(uint32_t resume_op) {
   resume_op_ = resume_op;
-  return state_registry_.CaptureAll();
+  state_registry_.CaptureAll(aux_scratch_);
+  return aux_scratch_;
 }
 
-void NyxEngine::RestoreInterpState(const Bytes& aux) {
+void NyxEngine::RestoreInterpState(ByteView aux) {
   // Aux blobs are engine-produced; a mismatch means corruption. Fail hard
   // rather than restoring partial state.
   NYX_CHECK(state_registry_.RestoreAll(aux)) << "corrupt snapshot aux blob";

@@ -104,7 +104,7 @@ class NyxEngine {
   VirtualClock& clock() { return clock_; }
   Vm& vm() { return *vm_; }
   NetEmu& net() { return net_; }
-  const VmStats& vm_stats() const { return vm_->stats(); }
+  VmStats vm_stats() const { return vm_->stats(); }
   uint64_t execs() const { return execs_; }
   // Responses the target sent during the last Run (for AFLNet-style state
   // machines and for tests).
@@ -120,8 +120,10 @@ class NyxEngine {
  private:
   ExecResult RunInternal(const Program& input, CoverageMap& cov);
   StateFingerprint CaptureFingerprint(const CoverageMap& cov, const ExecResult& result);
-  Bytes SerializeInterpState(uint32_t resume_op);
-  void RestoreInterpState(const Bytes& aux);
+  // Captures the registry into aux_scratch_; the Vm copies the result into
+  // the snapshot slot's own retained buffer, so pushes do not allocate.
+  const Bytes& SerializeInterpState(uint32_t resume_op);
+  void RestoreInterpState(ByteView aux);
   int ResolveConn(const Op& op) const;
 
   EngineConfig config_;
@@ -133,6 +135,7 @@ class NyxEngine {
   TargetInfo target_info_;
   bool booted_ = false;
   SnapshotStateRegistry state_registry_;
+  Bytes aux_scratch_;
   std::unique_ptr<DivergenceAuditor> auditor_;
   uint64_t last_exec_rng_hash_ = 0;
   // When set, RunInternal seeds the per-exec RNG from this instead of the

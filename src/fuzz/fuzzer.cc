@@ -241,9 +241,15 @@ CampaignResult NyxFuzzer::Run(const CampaignLimits& limits) {
   result.branch_coverage = global_cov_.SiteCount();
   result.edge_coverage = global_cov_.EdgeCount();
   result.corpus_size = corpus_.size();
-  result.incremental_creates = engine_.vm_stats().incremental_creates;
-  result.incremental_restores = engine_.vm_stats().incremental_restores;
-  result.root_restores = engine_.vm_stats().root_restores;
+  const VmStats vm = engine_.vm_stats();
+  result.incremental_creates = vm.incremental_creates;
+  result.incremental_restores = vm.incremental_restores;
+  result.root_restores = vm.root_restores;
+  result.dirty_traps = vm.dirty_traps;
+  result.hot_promotions = vm.hot_promotions;
+  result.hot_demotions = vm.hot_demotions;
+  result.hot_copies_skipped = vm.hot_copies_skipped;
+  result.hot_pages = vm.hot_pages;
   result.contract_soft_failures = GetThreadContractCounters().soft_failures - soft_at_start;
   result.faults_injected = engine_.net().faults_injected();
   result.faulted_bytes = engine_.net().faulted_bytes();

@@ -49,6 +49,13 @@ struct CampaignResult {
   uint64_t incremental_creates = 0;
   uint64_t incremental_restores = 0;
   uint64_t root_restores = 0;
+  // Dirty tracking (VmStats): first-write traps taken, and the hot pages
+  // that stay writable instead of trapping every exec (DESIGN.md §12).
+  uint64_t dirty_traps = 0;
+  uint64_t hot_promotions = 0;
+  uint64_t hot_demotions = 0;
+  uint64_t hot_copies_skipped = 0;
+  uint64_t hot_pages = 0;
   uint64_t contract_soft_failures = 0;  // NYX_EXPECT misses (common/check.h)
   // Snapshot divergence audit (NYX_AUDIT=1, src/fuzz/audit.h); zero unless
   // the auditor is enabled.

@@ -1,8 +1,9 @@
 #include "src/fuzz/guest.h"
 
-#include <csignal>
+#include <pthread.h>
 #include <setjmp.h>
 
+#include <csignal>
 #include <cstring>
 
 #include "src/common/telemetry.h"
@@ -158,8 +159,16 @@ bool GuardedStep(Target& target, GuestContext& ctx) {
   // into this frame, and a scope opened after the setjmp would be jumped
   // over without its destructor, leaking a phase-stack frame.
   telemetry::ScopedPhase phase(telemetry::Phase::kGuestRun);
-  if (sigsetjmp(t_step_jmp, 1) != 0) {
+  // savemask = 0: saving the signal mask costs a syscall on every step.
+  if (sigsetjmp(t_step_jmp, 0) != 0) {
     // Landed here from the SIGSEGV handler: the target walked off the map.
+    // The kernel blocked SIGSEGV for the handler's duration and the jump
+    // skipped its return, so unblock it here or the next fault (a dirty
+    // trap or another wild access) kills the process.
+    sigset_t segv;
+    sigemptyset(&segv);
+    sigaddset(&segv, SIGSEGV);
+    pthread_sigmask(SIG_UNBLOCK, &segv, nullptr);
     ctx.Crash(kCrashWildSegv, "segv-wild-access");
     return false;
   }

@@ -158,6 +158,13 @@ void PopulateCampaignRegistry(telemetry::MetricRegistry& reg, const CampaignResu
   reg.RegisterCounter("root_restores")->Add(result.root_restores);
   reg.RegisterCounter("inc_creates")->Add(result.incremental_creates);
   reg.RegisterCounter("inc_restores")->Add(result.incremental_restores);
+  // Dirty tracking: first-write traps, and hot pages kept writable and
+  // reverted by copy instead (near-zero traps per exec in steady state).
+  reg.RegisterCounter("dirty_traps")->Add(result.dirty_traps);
+  reg.RegisterCounter("hot_promotions")->Add(result.hot_promotions);
+  reg.RegisterCounter("hot_demotions")->Add(result.hot_demotions);
+  reg.RegisterCounter("hot_skipped")->Add(result.hot_copies_skipped);
+  reg.RegisterGauge("hot_pages")->Set(result.hot_pages);
   const ContractCounters contracts = GetContractCounters();
   reg.RegisterCounter("contract_soft")->Add(contracts.soft_failures);
   reg.RegisterCounter("contract_hard")->Add(contracts.hard_failures);
@@ -191,11 +198,13 @@ void PopulateCampaignRegistry(telemetry::MetricRegistry& reg, const CampaignResu
 // external scripts grep for them.
 std::string RenderStatsText(const telemetry::MetricRegistry& reg) {
   static const char* kOrder[] = {
-      "execs",         "vtime_seconds", "execs_per_vsec", "branch_coverage",
-      "edge_coverage", "corpus_size",   "crashes",        "root_restores",
-      "inc_creates",   "inc_restores",  "contract_soft",  "contract_hard",
-      "pages_audited", "divergences",   "faults_injected", "faulted_bytes",
-      "semantic_dupes", "analyze_checks", "lock_acquired", "lock_contended",
+      "execs",          "vtime_seconds",  "execs_per_vsec", "branch_coverage",
+      "edge_coverage",  "corpus_size",    "crashes",        "root_restores",
+      "inc_creates",    "inc_restores",   "dirty_traps",    "hot_promotions",
+      "hot_demotions",  "hot_skipped",    "hot_pages",      "contract_soft",
+      "contract_hard",  "pages_audited",  "divergences",    "faults_injected",
+      "faulted_bytes",  "semantic_dupes", "analyze_checks", "lock_acquired",
+      "lock_contended",
   };
   const std::vector<telemetry::MetricRegistry::Entry> entries = reg.Entries();
   std::ostringstream os;

@@ -704,6 +704,11 @@ size_t NetEmu::UndeliveredBytes() const {
 
 Bytes NetEmu::Serialize() const {
   Bytes out;
+  SerializeTo(out);
+  return out;
+}
+
+void NetEmu::SerializeTo(Bytes& out) const {
   PutLe32(out, 0x4e455432);  // "NET2": v1 plus per-sock reset flag + fault queue
   PutLe32(out, static_cast<uint32_t>(sockets_.size()));
   for (const Sock& s : sockets_) {
@@ -759,10 +764,9 @@ Bytes NetEmu::Serialize() const {
   PutLe32(out, static_cast<uint32_t>(current_process_));
   PutLe32(out, static_cast<uint32_t>(next_process_));
   out.push_back(consumed_input_ ? 1 : 0);
-  return out;
 }
 
-bool NetEmu::Deserialize(const Bytes& blob) {
+bool NetEmu::Deserialize(ByteView blob) {
   size_t off = 0;
   auto u8 = [&]() -> uint8_t { return off < blob.size() ? blob[off++] : 0; };
   auto u16 = [&]() {

@@ -146,7 +146,10 @@ class NetEmu {
 
   // ---- Snapshot support ----
   Bytes Serialize() const;
-  bool Deserialize(const Bytes& blob);
+  // Appends the serialized state to `out` (the engine captures snapshot
+  // aux blobs into one reused buffer).
+  void SerializeTo(Bytes& out) const;
+  bool Deserialize(ByteView blob);
 
   // ---- Introspection ----
   uint64_t calls() const { return calls_; }

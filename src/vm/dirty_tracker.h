@@ -63,6 +63,25 @@ class DirtyTracker {
   // resets independent of VM size.
   void Clear();
 
+  // Clears the dirty set except the pages `keep(page)` selects, which stay
+  // dirty in their current order. Kept pages were marked in an earlier
+  // epoch, so keeping them counts as neither a new mark nor ring fill
+  // (GuestMemory's hot pages, DESIGN.md §12). O(#dirty).
+  template <typename Keep>
+  void ClearExcept(Keep&& keep) {
+    size_t kept = 0;
+    for (size_t i = 0; i < stack_size_; i++) {
+      const uint32_t page = stack_[i];
+      if (keep(page)) {
+        stack_[kept++] = page;
+      } else {
+        bitmap_[page] = 0;
+      }
+    }
+    stack_size_ = kept;
+    ring_fill_ = 0;
+  }
+
   size_t num_pages() const { return bitmap_.size(); }
 
   // Number of simulated ring-full VM exits (one per ring_capacity newly

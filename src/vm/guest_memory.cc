@@ -5,6 +5,7 @@
 #include <string.h>
 #include <sys/mman.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -122,7 +123,17 @@ GuestMemory::GuestMemory(size_t num_pages, TrackingMode mode, size_t dirty_ring_
       requested_mode_(mode),
       mode_(mode),
       tracker_(num_pages, dirty_ring_capacity),
-      opened_(num_pages, 0) {
+      opened_(num_pages, 0),
+      dirty_epoch_(num_pages, 0),
+      hot_(num_pages, 0),
+      rearm_(num_pages, 0),
+      promotions_counter_(
+          telemetry::MetricRegistry::Global().RegisterCounter("vm.hot_promotions")),
+      demotions_counter_(
+          telemetry::MetricRegistry::Global().RegisterCounter("vm.hot_demotions")),
+      skipped_counter_(
+          telemetry::MetricRegistry::Global().RegisterCounter("vm.hot_copies_skipped")),
+      hot_gauge_(telemetry::MetricRegistry::Global().RegisterGauge("vm.hot_pages")) {
   // One extra PROT_NONE guard page so a target running off the end of guest
   // memory faults immediately and deterministically instead of silently
   // reading whatever mapping happens to be adjacent. The guard page is never
@@ -137,8 +148,11 @@ GuestMemory::GuestMemory(size_t num_pages, TrackingMode mode, size_t dirty_ring_
   base_ = static_cast<uint8_t*>(p);
   RawProtect(base_ + size_bytes(), kPageSize, PROT_NONE);
   backend_ = CreateDirtyBackend(mode, base_, num_pages_, &tracker_, &protect_calls_, &mode_);
+  // The handler also carries the unresolved-fault hook that turns a
+  // target's wild access into a detected crash, so it is installed whatever
+  // the backend; only fault-driven backends need the region registry.
+  InstallHandlerOnce();
   if (backend_->wants_segv_handler()) {
-    InstallHandlerOnce();
     RegisterRegion(this);
     registered_ = true;
     // Bind the region to this thread (see thread_checker_ in the header).
@@ -159,6 +173,7 @@ GuestMemory::~GuestMemory() {
 void GuestMemory::ArmTracking() {
   NYX_DCHECK(!backend_->wants_segv_handler() || thread_checker_.CalledOnValidThread());
   tracker_.Clear();
+  ResetHotPages();
   armed_ = true;
   opened_count_ = 0;
   backend_->Arm();
@@ -188,22 +203,89 @@ void GuestMemory::OpenForRestore(const uint32_t* pages, size_t n) {
   backend_->OpenPages(opened_.data() + start, opened_count_ - start);
 }
 
+void GuestMemory::RestorePage(uint32_t page, const uint8_t* src) {
+  uint8_t* dst = base_ + static_cast<size_t>(page) * kPageSize;
+  uint8_t& hot = hot_[page];
+  if (hot != 0) {
+    NYX_DCHECK(tracker_.IsDirty(page));
+    // A 4 KiB compare costs about as much as the copy it may save; the
+    // point is the count, which retires pages no longer being written.
+    if (memcmp(dst, src, kPageSize) == 0) {
+      if (hot <= kHotDemoteAfter) {
+        hot++;
+      }
+      hot_stats_.copies_skipped++;
+      skipped_counter_->Add(1);
+      return;
+    }
+    hot = 1;
+  }
+  memcpy(dst, src, kPageSize);
+}
+
 void GuestMemory::SealAfterRestore() {
   NYX_DCHECK(!backend_->wants_segv_handler() || thread_checker_.CalledOnValidThread());
-  backend_->ReArmPages(tracker_.stack_data(), tracker_.stack_size());
+  EndEpoch();
   if (opened_count_ > 0) {
     backend_->ReArmPages(opened_.data(), opened_count_);
     opened_count_ = 0;
   }
-  tracker_.Clear();
   armed_ = true;
 }
 
 void GuestMemory::ReArmDirtyPages() {
   NYX_DCHECK(!backend_->wants_segv_handler() || thread_checker_.CalledOnValidThread());
-  backend_->ReArmPages(tracker_.stack_data(), tracker_.stack_size());
-  tracker_.Clear();
+  EndEpoch();
   armed_ = true;
+}
+
+void GuestMemory::EndEpoch() {
+  if (tracker_.stack_size() == 0) {
+    // Nothing was written (hot pages would be in the set): no epoch passed,
+    // so back-to-back restores do not separate two writing epochs. Passive
+    // backends still reset their log.
+    backend_->ReArmPages(rearm_.data(), 0);
+    return;
+  }
+  size_t n = 0;
+  const uint32_t previous = epoch_ - 1;
+  tracker_.ClearExcept([&](uint32_t p) {
+    const bool dirty_last_epoch = dirty_epoch_[p] == previous;
+    dirty_epoch_[p] = epoch_;
+    if (hot_[p] != 0) {
+      if (hot_[p] <= kHotDemoteAfter) {
+        return true;
+      }
+      // Unchanged for kHotDemoteAfter restores: trap it again, and make it
+      // earn promotion afresh.
+      hot_[p] = 0;
+      dirty_epoch_[p] = 0;
+      hot_count_--;
+      hot_stats_.demotions++;
+      demotions_counter_->Add(1);
+    } else if (dirty_last_epoch) {
+      hot_[p] = 1;
+      hot_count_++;
+      hot_stats_.promotions++;
+      promotions_counter_->Add(1);
+      return true;
+    }
+    rearm_[n++] = p;
+    return false;
+  });
+  // Called even with nothing to re-arm: passive backends reset their whole
+  // log here.
+  backend_->ReArmPages(rearm_.data(), n);
+  epoch_++;
+  hot_gauge_->Set(hot_count_);
+}
+
+void GuestMemory::ResetHotPages() {
+  std::fill(dirty_epoch_.begin(), dirty_epoch_.end(), 0);
+  std::fill(hot_.begin(), hot_.end(), 0);
+  epoch_ = 2;
+  hot_count_ = 0;
+  hot_gauge_->Set(0);
 }
 
 void GuestMemory::Write(uint64_t guest_offset, const void* src, size_t len) {

@@ -15,10 +15,19 @@
 //   SyncDirty();                    // publish passive backends' dirty info
 //   <read tracker, decide pages>
 //   OpenForRestore(pages, n);       // make protected pages writable,
-//   <memcpy snapshot content in>    //   without polluting the dirty log
+//   RestorePage(page, src) ...      //   without polluting the dirty log
 //   SealAfterRestore();             // re-protect opened+dirty, clear, re-arm
 // The old per-page mprotect toggle pair around each copy is gone: opening
 // and sealing coalesce runs of pages into single syscalls.
+//
+// Hot pages (DESIGN.md §12). Every seal or re-arm with a nonempty dirty
+// set ends an arming epoch. A page dirty in two consecutive epochs becomes
+// hot: it is not re-protected and stays in the dirty set across epochs, so
+// every restore reverts it and every capture includes it, but its writes
+// never trap again. Restores copy a hot page only when it differs from the
+// restore source; after kHotDemoteAfter consecutive restores that found it
+// unchanged, the next epoch end re-arms it and drops it from the dirty
+// set. Invariant: hot => writable and dirty.
 
 #ifndef SRC_VM_GUEST_MEMORY_H_
 #define SRC_VM_GUEST_MEMORY_H_
@@ -29,6 +38,7 @@
 #include <memory>
 
 #include "src/common/sync.h"
+#include "src/common/telemetry.h"
 #include "src/vm/dirty_backend.h"
 #include "src/vm/dirty_tracker.h"
 #include "src/vm/page.h"
@@ -42,6 +52,15 @@ namespace nyx {
 // false reinstates the default fatal behaviour.
 using UnresolvedFaultHook = bool (*)();
 void SetUnresolvedFaultHook(UnresolvedFaultHook hook);
+
+// Consecutive unchanged restores after which a hot page is re-armed.
+inline constexpr uint8_t kHotDemoteAfter = 4;
+
+struct HotPageStats {
+  uint64_t promotions = 0;      // pages that became hot
+  uint64_t demotions = 0;       // hot pages re-armed after kHotDemoteAfter
+  uint64_t copies_skipped = 0;  // hot-page restores that found no change
+};
 
 class GuestMemory {
  public:
@@ -85,14 +104,24 @@ class GuestMemory {
   // closing SealAfterRestore().
   void OpenForRestore(const uint32_t* pages, size_t n);
 
-  // Re-protects everything OpenForRestore opened plus the currently dirty
-  // pages, clears the tracker and re-arms. Completes the restore protocol.
+  // Writes snapshot content `src` into `page` inside the restore window. A
+  // hot page already equal to `src` is left untouched.
+  void RestorePage(uint32_t page, const uint8_t* src);
+
+  // Re-protects everything OpenForRestore opened plus the dirty pages that
+  // are not hot, clears the tracker down to the hot pages and re-arms.
+  // Completes the restore protocol and ends the epoch.
   void SealAfterRestore();
 
-  // Re-protects exactly the currently dirty pages and clears the tracker
-  // (cheap re-arm after a capture, when nothing was opened). Callers that
-  // read the tracker first must SyncDirty() before this on passive backends.
+  // Re-protects the dirty pages that are not hot and clears the tracker down
+  // to the hot pages (cheap re-arm after a capture, when nothing was
+  // opened); ends the epoch. Callers that read the tracker first must
+  // SyncDirty() before this on passive backends.
   void ReArmDirtyPages();
+
+  bool IsHot(uint32_t page) const { return hot_[page] != 0; }
+  size_t hot_pages() const { return hot_count_; }
+  const HotPageStats& hot_stats() const { return hot_stats_; }
 
   DirtyTracker& tracker() { return tracker_; }
   const DirtyTracker& tracker() const { return tracker_; }
@@ -137,6 +166,26 @@ class GuestMemory {
   // preallocated so restores never allocate.
   std::vector<uint32_t> opened_;
   size_t opened_count_ = 0;
+
+  // Ends an arming epoch: promotes, keeps or demotes hot pages, re-arms the
+  // rest of the dirty set and clears it down to the hot pages.
+  void EndEpoch();
+  void ResetHotPages();
+
+  // Hot-page state, five bytes per page. dirty_epoch_[p] is the last epoch
+  // in which p was dirty (0 = never; epochs count from 2 so that epoch - 1
+  // never matches it). hot_[p] is 0 for a cold page, else 1 + the number of
+  // consecutive restores that found the page unchanged.
+  std::vector<uint32_t> dirty_epoch_;
+  std::vector<uint8_t> hot_;
+  uint32_t epoch_ = 2;
+  size_t hot_count_ = 0;
+  std::vector<uint32_t> rearm_;  // EndEpoch scratch, preallocated
+  HotPageStats hot_stats_;
+  telemetry::Counter* promotions_counter_;
+  telemetry::Counter* demotions_counter_;
+  telemetry::Counter* skipped_counter_;
+  telemetry::Gauge* hot_gauge_;
   // A region with fault-driven tracking must live its whole life on the
   // thread that constructed it (the SIGSEGV handler only resolves faults for
   // regions owned by the faulting thread — DESIGN.md §8.1). Debug builds

@@ -1,5 +1,7 @@
 #include "src/vm/state_registry.h"
 
+#include <string.h>
+
 #include "src/common/check.h"
 #include "src/common/hash.h"
 
@@ -9,10 +11,10 @@ namespace {
 
 constexpr uint32_t kBlobMagic = 0x53535231;  // "SSR1"
 
-// Shared framing walk for RestoreAll / EntryHashes: calls `fn(name, blob)`
-// for every entry; returns false on framing errors.
+// Shared framing walk for RestoreAll / EntryHashes: calls `fn(name, data)`
+// with views into `blob` for every entry; returns false on framing errors.
 template <typename Fn>
-bool WalkBlob(const Bytes& blob, Fn fn) {
+bool WalkBlob(ByteView blob, Fn fn) {
   size_t off = 0;
   if (ReadLe32(blob, off) != kBlobMagic) {
     return false;
@@ -26,16 +28,14 @@ bool WalkBlob(const Bytes& blob, Fn fn) {
     if (off + name_len > blob.size()) {
       return false;
     }
-    std::string name(blob.begin() + static_cast<long>(off),
-                     blob.begin() + static_cast<long>(off + name_len));
+    const std::string_view name(reinterpret_cast<const char*>(blob.data()) + off, name_len);
     off += name_len;
     const uint32_t data_len = ReadLe32(blob, off);
     off += 4;
     if (off + data_len > blob.size()) {
       return false;
     }
-    Bytes data(blob.begin() + static_cast<long>(off),
-               blob.begin() + static_cast<long>(off + data_len));
+    const ByteView data = blob.subspan(off, data_len);
     off += data_len;
     if (!fn(name, data)) {
       return false;
@@ -96,8 +96,8 @@ size_t SnapshotStateRegistry::snapshot_state_count() const {
   return n;
 }
 
-Bytes SnapshotStateRegistry::CaptureAll() {
-  Bytes out;
+void SnapshotStateRegistry::CaptureAll(Bytes& out) {
+  out.clear();
   PutLe32(out, kBlobMagic);
   PutLe32(out, static_cast<uint32_t>(snapshot_state_count()));
   for (const HostState& st : host_states_) {
@@ -106,16 +106,24 @@ Bytes SnapshotStateRegistry::CaptureAll() {
     }
     PutLe32(out, static_cast<uint32_t>(st.name.size()));
     Append(out, st.name);
-    const Bytes data = st.capture();
-    PutLe32(out, static_cast<uint32_t>(data.size()));
-    Append(out, data);
+    // Length placeholder, patched once the hook has appended its bytes.
+    const size_t len_at = out.size();
+    PutLe32(out, 0);
+    st.capture(out);
+    const uint32_t len = static_cast<uint32_t>(out.size() - len_at - 4);
+    memcpy(out.data() + len_at, &len, 4);
   }
+}
+
+Bytes SnapshotStateRegistry::CaptureAll() {
+  Bytes out;
+  CaptureAll(out);
   return out;
 }
 
-bool SnapshotStateRegistry::RestoreAll(const Bytes& blob) {
+bool SnapshotStateRegistry::RestoreAll(ByteView blob) {
   size_t restored = 0;
-  const bool ok = WalkBlob(blob, [&](const std::string& name, const Bytes& data) {
+  const bool ok = WalkBlob(blob, [&](std::string_view name, ByteView data) {
     for (const HostState& st : host_states_) {
       if (st.name == name) {
         if (st.kind != Kind::kSnapshot || !st.restore(data)) {
@@ -133,10 +141,10 @@ bool SnapshotStateRegistry::RestoreAll(const Bytes& blob) {
 }
 
 std::vector<std::pair<std::string, uint64_t>> SnapshotStateRegistry::EntryHashes(
-    const Bytes& blob) {
+    ByteView blob) {
   std::vector<std::pair<std::string, uint64_t>> out;
-  WalkBlob(blob, [&](const std::string& name, const Bytes& data) {
-    out.emplace_back(name, Fnv1a64(data));
+  WalkBlob(blob, [&](std::string_view name, ByteView data) {
+    out.emplace_back(std::string(name), Fnv1a64(data.data(), data.size()));
     return true;
   });
   return out;

@@ -71,10 +71,11 @@ class SnapshotStateRegistry {
     std::string name;   // stable identifier, e.g. "netemu.socket_table"
     std::string owner;  // owning component/file, for reports
     Kind kind = Kind::kSnapshot;
-    // kSnapshot: both hooks required. Restore returns false on a blob it
-    // cannot parse (treated as snapshot corruption by the caller).
-    std::function<Bytes()> capture;
-    std::function<bool(const Bytes&)> restore;
+    // kSnapshot: both hooks required. Capture appends the state to `out`.
+    // Restore reads a view into the snapshot's blob and returns false on
+    // bytes it cannot parse (treated as snapshot corruption by the caller).
+    std::function<void(Bytes& out)> capture;
+    std::function<bool(ByteView)> restore;
     // kEphemeral: optional invariant checked by the auditor between
     // executions ("is this really back to its initial state?").
     std::function<bool()> verify;
@@ -108,16 +109,19 @@ class SnapshotStateRegistry {
   // ---- Snapshot aux-blob support ----
 
   // Captures every kSnapshot entry into one framed blob (registration
-  // order). The engine stores this as the snapshot's aux blob.
+  // order). The engine stores this as the snapshot's aux blob. The first
+  // form overwrites `out`, reusing its capacity.
+  void CaptureAll(Bytes& out);
   Bytes CaptureAll();
 
-  // Restores every entry found in `blob` by name. False on framing errors,
-  // unknown names, missing entries or a restore hook rejecting its blob.
-  bool RestoreAll(const Bytes& blob);
+  // Restores every entry found in `blob` by name, handing each hook a view
+  // into `blob` (no copies). False on framing errors, unknown names,
+  // missing entries or a restore hook rejecting its bytes.
+  bool RestoreAll(ByteView blob);
 
   // Per-entry FNV hashes of a captured blob, for divergence attribution
   // without retaining full copies.
-  static std::vector<std::pair<std::string, uint64_t>> EntryHashes(const Bytes& blob);
+  static std::vector<std::pair<std::string, uint64_t>> EntryHashes(ByteView blob);
 
   // Runs every ephemeral verify hook; returns the names that failed.
   std::vector<std::string> CheckEphemeral() const;

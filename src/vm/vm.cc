@@ -1,7 +1,5 @@
 #include "src/vm/vm.h"
 
-#include <string.h>
-
 #include "src/common/check.h"
 #include "src/common/telemetry.h"
 
@@ -21,10 +19,9 @@ Vm::Vm(const VmConfig& config)
   devices_.AddDevice("virtio-blk", 256);
 }
 
-void Vm::TakeRootSnapshot(Bytes aux) {
+void Vm::TakeRootSnapshot(const Bytes& aux) {
   root_ = std::make_unique<RootSnapshot>(mem_, devices_, disk_);
-  root_aux_ = std::move(aux);
-  current_aux_ = root_aux_;
+  root_aux_ = aux;
   // Old mirrors map the previous root's memfd; the whole tree goes away.
   slots_.clear();
   cur_depth_ = 0;
@@ -106,12 +103,13 @@ void Vm::RestoreTo(size_t depth) {
   }
 
   // Open still-protected pages once (coalesced), copy, seal once — instead
-  // of a protection-toggle pair around every single page copy.
+  // of a protection-toggle pair around every single page copy. Hot pages
+  // sit in the dirty set and are copied only when they differ.
   mem_.OpenForRestore(revert_.data(), n);
   for (size_t i = 0; i < n; i++) {
     const uint32_t p = revert_[i];
     visited_[p] = 0;
-    memcpy(mem_.base() + static_cast<size_t>(p) * kPageSize, ResolvePage(depth, p), kPageSize);
+    mem_.RestorePage(p, ResolvePage(depth, p));
   }
   mem_.SealAfterRestore();
   cur_depth_ = depth;
@@ -119,13 +117,11 @@ void Vm::RestoreTo(size_t depth) {
   if (depth == 0) {
     disk_.RestoreFromRoot(root_->disk());
     RestoreDevices(root_->devices());
-    current_aux_ = root_aux_;
     stats_.root_restores++;
   } else {
     const TreeSlot& slot = slots_[depth - 1];
     disk_.RestoreFromIncremental(slot.snap->disk(), root_->disk());
     RestoreDevices(slot.snap->devices());
-    current_aux_ = slot.aux;
     stats_.incremental_restores++;
     if (depth >= 2) {
       stats_.deep_restores++;
@@ -151,7 +147,7 @@ void Vm::RestoreRoot() {
   }
 }
 
-size_t Vm::PushSnapshot(Bytes aux) {
+size_t Vm::PushSnapshot(const Bytes& aux) {
   NYX_CHECK(root_ != nullptr) << "PushSnapshot before TakeRootSnapshot";
   const size_t depth = cur_depth_ + 1;
   NYX_CHECK(depth <= config_.snapshot_depth)
@@ -176,8 +172,8 @@ size_t Vm::PushSnapshot(Bytes aux) {
   }
   mem_.ReArmDirtyPages();
   cur_depth_ = depth;
-  slot.aux = std::move(aux);
-  current_aux_ = slot.aux;
+  // Copies into the slot's retained buffer: no allocation once it has grown.
+  slot.aux.assign(aux.begin(), aux.end());
 
   stats_.incremental_creates++;
   stats_.pages_captured += dirty;
@@ -187,10 +183,21 @@ size_t Vm::PushSnapshot(Bytes aux) {
   return depth;
 }
 
-void Vm::CreateIncremental(Bytes aux) {
+void Vm::CreateIncremental(const Bytes& aux) {
   NYX_CHECK(cur_depth_ == 0)
       << "CreateIncremental away from the root state; use PushSnapshot for deeper captures";
-  PushSnapshot(std::move(aux));
+  PushSnapshot(aux);
+}
+
+VmStats Vm::stats() const {
+  VmStats s = stats_;
+  s.dirty_traps = mem_.tracker().total_marks();
+  const HotPageStats& hot = mem_.hot_stats();
+  s.hot_promotions = hot.promotions;
+  s.hot_demotions = hot.demotions;
+  s.hot_copies_skipped = hot.copies_skipped;
+  s.hot_pages = mem_.hot_pages();
+  return s;
 }
 
 void Vm::DropIncremental() {

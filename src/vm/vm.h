@@ -67,6 +67,14 @@ struct VmStats {
   uint64_t deep_restores = 0;         // restores to depth >= 2
   uint64_t pages_restored = 0;
   uint64_t pages_captured = 0;
+  // Pages newly logged dirty: with a fault-driven backend, first-write
+  // traps taken. Hot pages re-entering the dirty set are not counted.
+  uint64_t dirty_traps = 0;
+  // Hot pages (GuestMemory, DESIGN.md §12).
+  uint64_t hot_promotions = 0;
+  uint64_t hot_demotions = 0;
+  uint64_t hot_copies_skipped = 0;
+  uint64_t hot_pages = 0;  // currently hot
 };
 
 class Vm {
@@ -91,7 +99,7 @@ class Vm {
 
   // Captures the root snapshot of the current state and arms dirty tracking.
   // `aux` is returned verbatim by current_aux() after every root restore.
-  void TakeRootSnapshot(Bytes aux = {});
+  void TakeRootSnapshot(const Bytes& aux = {});
   bool has_root() const { return root_ != nullptr; }
   const RootSnapshot& root() const { return *root_; }
 
@@ -105,7 +113,7 @@ class Vm {
   // Captures a snapshot at depth cur_depth()+1 (which must not exceed
   // config().snapshot_depth), invalidating any deeper stale slots. Returns
   // the new depth.
-  size_t PushSnapshot(Bytes aux = {});
+  size_t PushSnapshot(const Bytes& aux = {});
 
   // Restores to `depth` (0 = root content without invalidating the tree;
   // forward restores to still-valid deeper slots are allowed). Reverts only
@@ -125,7 +133,7 @@ class Vm {
 
   // Captures the single second-level snapshot. Must be at the root state
   // (cur_depth() == 0); deeper captures go through PushSnapshot.
-  void CreateIncremental(Bytes aux = {});
+  void CreateIncremental(const Bytes& aux = {});
   bool has_incremental() const { return has_snapshot_at(1); }
   const IncrementalSnapshot& incremental() const { return *slots_[0].snap; }
   void RestoreIncremental() { RestoreTo(1); }
@@ -133,10 +141,13 @@ class Vm {
   // reverted by later restores).
   void DropIncremental();
 
-  // The aux blob of whichever snapshot was restored last.
-  const Bytes& current_aux() const { return current_aux_; }
+  // The aux blob of the snapshot the VM last restored or pushed: a
+  // reference into the tree, valid until the next push or root snapshot.
+  const Bytes& current_aux() const {
+    return cur_depth_ == 0 ? root_aux_ : slots_[cur_depth_ - 1].aux;
+  }
 
-  const VmStats& stats() const { return stats_; }
+  VmStats stats() const;
 
  private:
   struct TreeSlot {
@@ -168,7 +179,6 @@ class Vm {
   std::vector<uint8_t> visited_;
   std::vector<uint32_t> revert_;
   Bytes root_aux_;
-  Bytes current_aux_;
 
   VmStats stats_;
   VirtualClock* clock_ = nullptr;

@@ -6,6 +6,9 @@
 // id instead of killing the test runner.
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+
+#include <csignal>
 
 #include "src/common/rng.h"
 #include "src/fuzz/engine.h"
@@ -77,9 +80,17 @@ INSTANTIATE_TEST_SUITE_P(Registry, TargetRobustnessTest, ::testing::ValuesIn(All
                            return n;
                          });
 
-TEST(FaultGuardTest, WildStepBecomesCrash) {
-  // A synthetic target that walks off guest memory: the guard must convert
-  // the fault into kCrashWildSegv rather than dying.
+// The guard must work whatever the dirty-tracking backend: it owns the
+// SIGSEGV handler even when tracking faults never arrive as signals.
+class FaultGuardTest : public ::testing::TestWithParam<TrackingMode> {};
+
+TEST_P(FaultGuardTest, WildStepBecomesCrash) {
+  if (!TrackingModeAvailable(GetParam())) {
+    GTEST_SKIP() << TrackingModeName(GetParam()) << " backend unavailable on this kernel";
+  }
+  // A synthetic target that walks off guest memory on "go" and writes its
+  // own guest state on "w": the guard must convert the fault into
+  // kCrashWildSegv rather than dying, any number of times.
   class WildTarget final : public Target {
    public:
     TargetInfo info() const override {
@@ -100,11 +111,15 @@ TEST(FaultGuardTest, WildStepBecomesCrash) {
       if (ctx.net().Recv(*ctx.State<int>(), buf, sizeof(buf)) <= 0) {
         return;
       }
+      if (buf[0] == 'w') {
+        ctx.State<int>()[1] = 0x5a;  // a first write to a tracked page
+        return;
+      }
       // Read far past the end of guest memory.
       volatile uint8_t sink = 0;
       const uint8_t* end = ctx.mem().base() + ctx.mem().size_bytes();
       for (size_t i = 0; i < 1 << 20; i++) {
-        sink += end[i];
+        sink = static_cast<uint8_t>(sink + end[i]);
       }
       (void)sink;
     }
@@ -113,22 +128,43 @@ TEST(FaultGuardTest, WildStepBecomesCrash) {
   Spec spec = Spec::GenericNetwork();
   EngineConfig cfg;
   cfg.vm.mem_pages = 64;
+  cfg.vm.tracking = GetParam();
   NyxEngine engine(cfg, [] { return std::unique_ptr<Target>(new WildTarget()); }, spec);
   engine.Boot();
-  Builder b(spec);
-  b.Packet(b.Connection(), "go");
+  ASSERT_EQ(engine.vm().mem().mode(), GetParam());
   CoverageMap cov;
-  ExecResult r = engine.Run(*b.Build(), cov);
-  ASSERT_TRUE(r.crash.crashed);
-  EXPECT_EQ(r.crash.crash_id, kCrashWildSegv);
-  EXPECT_EQ(r.crash.kind, "segv-wild-access");
 
-  // And the engine survives to run the next input cleanly.
+  // Two wild crashes back to back: the first landing must leave the guard
+  // able to catch the second.
+  for (int i = 0; i < 2; i++) {
+    Builder b(spec);
+    b.Packet(b.Connection(), "go");
+    cov.Reset();
+    ExecResult r = engine.Run(*b.Build(), cov);
+    ASSERT_TRUE(r.crash.crashed) << "crash " << i;
+    EXPECT_EQ(r.crash.crash_id, kCrashWildSegv);
+    EXPECT_EQ(r.crash.kind, "segv-wild-access");
+  }
+
+  // And the engine survives to run a guest-dirtying input cleanly, with
+  // SIGSEGV no longer blocked by the jump out of the handler.
   Builder b2(spec);
-  b2.Connection();
+  b2.Packet(b2.Connection(), "w");
+  cov.Reset();
   ExecResult r2 = engine.Run(*b2.Build(), cov);
   EXPECT_FALSE(r2.crash.crashed);
+  EXPECT_EQ(engine.vm().mem().At<int>(kStateBase)[1], 0x5a);
+  sigset_t mask;
+  ASSERT_EQ(pthread_sigmask(SIG_BLOCK, nullptr, &mask), 0);
+  EXPECT_EQ(sigismember(&mask, SIGSEGV), 0);
 }
+
+INSTANTIATE_TEST_SUITE_P(Backends, FaultGuardTest,
+                         ::testing::Values(TrackingMode::kMprotect, TrackingMode::kUffd,
+                                           TrackingMode::kSoftDirty),
+                         [](const ::testing::TestParamInfo<TrackingMode>& info) {
+                           return std::string(TrackingModeName(info.param));
+                         });
 
 }  // namespace
 }  // namespace nyx

@@ -312,6 +312,33 @@ TEST(SnapshotAuditTest, AuditCountersReachCampaignResult) {
   EXPECT_EQ(result.pages_audited, fuzzer.engine().auditor()->stats().pages_audited);
 }
 
+// Hot pages (DESIGN.md §12) under the auditor: a depth-2 campaign pushes
+// and resumes snapshots while lightftp rewrites the same pages every exec,
+// so those pages are promoted, captured while hot and reverted by copy.
+// Every replay and cross-restore must still match.
+TEST(SnapshotAuditTest, HotPageDepthTwoCampaignDivergenceFree) {
+  auto reg = FindTarget("lightftp");
+  ASSERT_TRUE(reg.has_value());
+  const Spec spec = reg->make_spec();
+  EngineConfig cfg = AuditedConfig();
+  cfg.vm.snapshot_depth = 2;
+  FuzzerConfig fcfg;
+  fcfg.policy = PolicyMode::kAggressive;
+  NyxFuzzer fuzzer(cfg, reg->factory, spec, fcfg);
+  for (const Program& s : reg->make_seeds(spec)) {
+    fuzzer.AddSeed(s);
+  }
+  CampaignLimits limits = ShortLimits();
+  limits.max_execs = 150;
+  CampaignResult result = fuzzer.Run(limits);
+  EXPECT_GT(result.pages_audited, 0u);
+  EXPECT_EQ(result.audit_divergences, 0u);
+  EXPECT_GT(result.incremental_creates, 0u);
+  EXPECT_GT(result.incremental_restores, 0u);
+  EXPECT_GT(result.hot_promotions, 0u);
+  EXPECT_GT(result.hot_copies_skipped + result.hot_pages, 0u);
+}
+
 // Telemetry and tracing are observation-only: an audited campaign must stay
 // divergence-free with the phase profiler and trace recorder running, and
 // every exec must end with the phase stack empty — the invariant behind the

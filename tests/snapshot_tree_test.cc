@@ -9,6 +9,7 @@
 #include <cstring>
 #include <vector>
 
+#include "src/agamotto/agamotto.h"
 #include "src/common/rng.h"
 #include "src/vm/vm.h"
 
@@ -209,12 +210,77 @@ TEST(SnapshotTreeTest, DepthOneEquivalentToClassicPair) {
   EXPECT_EQ(0, memcmp(tree.mem().base(), classic.mem().base(), tree.mem().size_bytes()));
 }
 
-// Shadow-model property: random interleavings of writes, pushes and restores
-// against a full-image model of every captured state.
-class SnapshotTreePropertyTest : public ::testing::TestWithParam<uint64_t> {};
+// A hot page (DESIGN.md §12) stays in the dirty set, so every capture
+// includes it and every restore reverts it, at any depth.
+TEST(SnapshotTreeTest, HotPageAcrossPushRestoreToAndRestoreRoot) {
+  Vm vm(TreeConfig(2));
+  vm.TakeRootSnapshot();
+  for (uint8_t v = 1; v <= 2; v++) {
+    PagePtr(vm, 7)[0] = v;
+    vm.RestoreRoot();
+  }
+  ASSERT_TRUE(vm.mem().IsHot(7));
 
-TEST_P(SnapshotTreePropertyTest, TreeMatchesShadowImages) {
-  Rng rng(GetParam());
+  // Captured even while idle, holding the content it has at that depth.
+  PagePtr(vm, 9)[0] = 9;
+  EXPECT_EQ(vm.PushSnapshot(), 1u);
+  EXPECT_TRUE(vm.incremental().has_page(7));
+  EXPECT_TRUE(vm.incremental().has_page(9));
+  EXPECT_TRUE(vm.mem().IsHot(7));
+
+  PagePtr(vm, 7)[0] = 70;
+  EXPECT_EQ(vm.PushSnapshot(), 2u);
+  PagePtr(vm, 7)[0] = 71;
+  vm.RestoreTo(1);
+  EXPECT_EQ(PagePtr(vm, 7)[0], 0);
+  EXPECT_EQ(PagePtr(vm, 9)[0], 9);
+  vm.RestoreTo(2);  // forward, to the still-valid descendant
+  EXPECT_EQ(PagePtr(vm, 7)[0], 70);
+  PagePtr(vm, 7)[0] = 72;
+  vm.RestoreTo(2);
+  EXPECT_EQ(PagePtr(vm, 7)[0], 70);
+  vm.RestoreRoot();
+  EXPECT_EQ(PagePtr(vm, 7)[0], 0);
+  EXPECT_EQ(PagePtr(vm, 9)[0], 0);
+  EXPECT_TRUE(vm.mem().tracker().IsDirty(7));
+}
+
+// The same through Agamotto's checkpoints: its bitmap walk sees the hot
+// page as dirty, so checkpoints include it and restores revert it.
+TEST(SnapshotTreeTest, HotPageAgamottoCheckpointRoundTrip) {
+  GuestMemory mem(32, TrackingModeFromEnv(TrackingMode::kMprotect));
+  AgamottoCheckpointManager mgr(mem, {});
+  uint8_t* page2 = mem.base() + 2 * kPageSize;
+  uint8_t* page4 = mem.base() + 4 * kPageSize;
+  for (uint8_t v = 1; v <= 2; v++) {
+    page2[0] = v;
+    ASSERT_TRUE(mgr.RestoreCheckpoint(-1));
+  }
+  ASSERT_TRUE(mem.IsHot(2));
+
+  page4[0] = 4;
+  const int idle = mgr.CreateCheckpoint();
+  page2[0] = 20;
+  const int written = mgr.CreateCheckpoint();
+  page2[0] = 21;
+  ASSERT_TRUE(mgr.RestoreCheckpoint(idle));
+  EXPECT_EQ(page2[0], 0);
+  EXPECT_EQ(page4[0], 4);
+  ASSERT_TRUE(mgr.RestoreCheckpoint(written));
+  EXPECT_EQ(page2[0], 20);
+  ASSERT_TRUE(mgr.RestoreCheckpoint(-1));
+  EXPECT_EQ(page2[0], 0);
+  EXPECT_EQ(page4[0], 0);
+  EXPECT_TRUE(mem.IsHot(2));
+}
+
+// Shadow-model property: random interleavings of writes, pushes and restores
+// against a full-image model of every captured state. With
+// `rewrite_pages`, a writer also rewrites the same few pages before every
+// step for 40 steps at a time, then leaves them idle for 40, so pages are
+// promoted to hot, reverted by copy, skipped while idle and demoted.
+void CheckTreeAgainstShadowImages(uint64_t seed, bool rewrite_pages) {
+  Rng rng(seed);
   constexpr size_t kDepth = 3;
   Vm vm(TreeConfig(kDepth));
   vm.TakeRootSnapshot();
@@ -227,6 +293,11 @@ TEST_P(SnapshotTreePropertyTest, TreeMatchesShadowImages) {
   size_t valid_depth = 0;  // deepest d with a trusted image
 
   for (int step = 0; step < 400; step++) {
+    if (rewrite_pages && (step / 40) % 2 == 0) {
+      for (uint32_t page : {5u, 6u, 40u}) {
+        PagePtr(vm, page)[rng.Below(kPageSize)] = rng.NextByte();
+      }
+    }
     const uint64_t action = rng.Below(10);
     if (action < 5) {
       vm.mem().base()[rng.Below(bytes)] = rng.NextByte();
@@ -251,6 +322,21 @@ TEST_P(SnapshotTreePropertyTest, TreeMatchesShadowImages) {
       ASSERT_EQ(0, memcmp(vm.mem().base(), images[0].data(), bytes)) << "step " << step;
     }
   }
+  if (rewrite_pages) {
+    EXPECT_GT(vm.stats().hot_promotions, 0u);
+    EXPECT_GT(vm.stats().hot_copies_skipped, 0u);
+    EXPECT_GT(vm.stats().hot_demotions, 0u);
+  }
+}
+
+class SnapshotTreePropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SnapshotTreePropertyTest, TreeMatchesShadowImages) {
+  CheckTreeAgainstShadowImages(GetParam(), false);
+}
+
+TEST_P(SnapshotTreePropertyTest, TreeMatchesShadowImagesWithRewrittenPages) {
+  CheckTreeAgainstShadowImages(GetParam(), true);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotTreePropertyTest,

@@ -13,12 +13,8 @@ SnapshotStateRegistry::HostState CounterState(const char* name, int* counter) {
   SnapshotStateRegistry::HostState st;
   st.name = name;
   st.owner = "tests";
-  st.capture = [counter] {
-    Bytes b;
-    PutLe32(b, static_cast<uint32_t>(*counter));
-    return b;
-  };
-  st.restore = [counter](const Bytes& b) {
+  st.capture = [counter](Bytes& out) { PutLe32(out, static_cast<uint32_t>(*counter)); };
+  st.restore = [counter](ByteView b) {
     if (b.size() != 4) {
       return false;
     }
@@ -101,8 +97,8 @@ TEST(StateRegistryTest, RestoreHookFailurePropagates) {
   SnapshotStateRegistry::HostState st;
   st.name = "test.picky";
   st.owner = "tests";
-  st.capture = [] { return Bytes{1, 2, 3, 4, 5}; };  // 5 bytes...
-  st.restore = [](const Bytes& b) { return b.size() == 4; };  // ...wants 4
+  st.capture = [](Bytes& out) { Append(out, Bytes{1, 2, 3, 4, 5}); };  // 5 bytes...
+  st.restore = [](ByteView b) { return b.size() == 4; };                // ...wants 4
   reg.RegisterHostState(std::move(st));
   EXPECT_FALSE(reg.RestoreAll(reg.CaptureAll()));
 }

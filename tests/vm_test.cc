@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "src/common/rng.h"
+#include "src/common/telemetry.h"
 #include "src/vm/vm.h"
 
 namespace nyx {
@@ -206,6 +207,52 @@ TEST(VmTest, StatsCountPagesRestored) {
   vm.mem().base()[kPageSize] = 1;
   vm.RestoreRoot();
   EXPECT_EQ(vm.stats().pages_restored, 2u);
+}
+
+// Pins the trap and hot-page counts on a scripted write pattern, in VmStats
+// and in the process registry (metrics.json). Ten execs, each followed by a
+// root restore: page 1 is written every exec, page 2 in the first two only,
+// page 3 in every other exec.
+TEST(VmTest, HotPageCountersFollowScriptedWrites) {
+  telemetry::MetricRegistry& global = telemetry::MetricRegistry::Global();
+  auto counter = [&](const char* name) { return global.RegisterCounter(name)->Value(); };
+  const uint64_t marks0 = counter("vm.dirty_marks");
+  const uint64_t promotions0 = counter("vm.hot_promotions");
+  const uint64_t demotions0 = counter("vm.hot_demotions");
+  const uint64_t skipped0 = counter("vm.hot_copies_skipped");
+
+  Vm vm(SmallConfig());
+  vm.TakeRootSnapshot();
+  for (int exec = 0; exec < 10; exec++) {
+    vm.mem().base()[1 * kPageSize] = static_cast<uint8_t>(exec + 1);
+    if (exec < 2) {
+      vm.mem().base()[2 * kPageSize] = 1;
+    }
+    if (exec % 2 == 0) {
+      vm.mem().base()[3 * kPageSize] = 1;
+    }
+    vm.RestoreRoot();
+  }
+  const VmStats st = vm.stats();
+  // Page 1 and 2 are promoted at the second restore. Page 2 then goes idle:
+  // four skipped copies, then demotion. Page 3 is never dirty twice in a
+  // row.
+  EXPECT_EQ(st.hot_promotions, 2u);
+  EXPECT_EQ(st.hot_demotions, 1u);
+  EXPECT_EQ(st.hot_copies_skipped, size_t{kHotDemoteAfter});
+  EXPECT_EQ(st.hot_pages, 1u);
+  EXPECT_TRUE(vm.mem().IsHot(1));
+  // Traps: pages 1 and 2 twice each before promotion, page 3 five times.
+  // Hot pages re-entering the dirty set are not traps.
+  EXPECT_EQ(st.dirty_traps, 9u);
+  // Restores still cover every hot page: 3+2+3+2+3+2+2+1+2+1.
+  EXPECT_EQ(st.pages_restored, 21u);
+
+  EXPECT_EQ(counter("vm.dirty_marks") - marks0, 9u);
+  EXPECT_EQ(counter("vm.hot_promotions") - promotions0, 2u);
+  EXPECT_EQ(counter("vm.hot_demotions") - demotions0, 1u);
+  EXPECT_EQ(counter("vm.hot_copies_skipped") - skipped0, size_t{kHotDemoteAfter});
+  EXPECT_EQ(global.RegisterGauge("vm.hot_pages")->Value(), 1u);
 }
 
 // Property test: arbitrary interleavings of writes, incremental captures and

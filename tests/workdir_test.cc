@@ -97,6 +97,10 @@ TEST_F(WorkdirTest, SaveCampaignWritesEverything) {
   result.execs = 1234;
   result.vtime_seconds = 5.0;
   result.branch_coverage = 42;
+  result.dirty_traps = 17;
+  result.hot_promotions = 3;
+  result.hot_copies_skipped = 12;
+  result.hot_pages = 2;
   CrashRecord rec;
   rec.kind = "test-crash";
   rec.count = 3;
@@ -108,12 +112,16 @@ TEST_F(WorkdirTest, SaveCampaignWritesEverything) {
   EXPECT_EQ(wd->LoadCrashes(spec).size(), 1u);
   FILE* stats = fopen((base_ + "/c/stats.txt").c_str(), "r");
   ASSERT_NE(stats, nullptr);
-  char buf[512];
+  char buf[2048];
   size_t n = fread(buf, 1, sizeof(buf) - 1, stats);
   buf[n] = '\0';
   fclose(stats);
   EXPECT_NE(std::string(buf).find("execs            1234"), std::string::npos);
   EXPECT_NE(std::string(buf).find("branch_coverage  42"), std::string::npos);
+  EXPECT_NE(std::string(buf).find("dirty_traps      17"), std::string::npos);
+  EXPECT_NE(std::string(buf).find("hot_promotions   3"), std::string::npos);
+  EXPECT_NE(std::string(buf).find("hot_skipped      12"), std::string::npos);
+  EXPECT_NE(std::string(buf).find("hot_pages        2"), std::string::npos);
 }
 
 TEST_F(WorkdirTest, CrashReproducerReplaysInEngine) {
