@@ -107,9 +107,6 @@ int AgamottoCheckpointManager::CreateCheckpoint() {
   Node node;
   node.id = next_id_++;
   node.parent = parent_id;
-  // Passive backends publish dirty info only on sync; fault-driven ones
-  // treat this as a no-op.
-  mem_.SyncDirty();
   // The defining cost: scan the whole bitmap to discover dirty pages.
   mem_.tracker().ForEachDirtyByBitmapWalk([&](uint32_t page) {
     auto copy = std::make_unique<uint8_t[]>(kPageSize);
@@ -139,7 +136,6 @@ bool AgamottoCheckpointManager::RestoreCheckpoint(int id) {
   if (id != -1 && nodes_.count(id) == 0) {
     return false;
   }
-  mem_.SyncDirty();
   auto restore_page = [&](uint32_t page) { mem_.RestorePage(page, ResolvePage(id, page)); };
 
   // Pages in the old and new lineages' deltas may differ between the two

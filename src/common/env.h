@@ -7,7 +7,7 @@
 // into campaigns — a knob read deep inside a worker is invisible to the
 // person diffing two "identical" runs.
 //
-// Knobs (all optional):
+// Knobs (all optional; a malformed numeric value aborts, see SizeOr):
 //   NYX_RUNS        repeat count for bench campaigns (positive integer)
 //   NYX_VTIME       virtual-time budget per campaign in seconds (positive)
 //   NYX_JOBS        worker-pool width for the parallel harness (positive)
@@ -24,14 +24,9 @@
 //   NYX_TRACE_RING  per-thread trace ring capacity in events (default 65536)
 //   NYX_PHASE_OUT   output path override for BENCH_phase_breakdown.json
 //                   (table3 / fig6 phase-breakdown passes)
-//   NYX_TRACKER     dirty-tracking backend for guest memory: "mprotect"
-//                   (SIGSEGV write-protection faults, default), "uffd"
-//                   (userfaultfd write-protect mode), "softdirty"
-//                   (/proc/self/pagemap soft-dirty bits) or "software"
-//                   (explicit accessors only). Unavailable backends fall
-//                   back to mprotect with one warning (DESIGN.md §12)
 //   NYX_DIRTY_RING  capacity of the simulated hardware dirty ring (positive
-//                   pages per ring-full VM exit, default 512)
+//                   pages per ring-full VM exit, default 512 =
+//                   kDirtyRingCapacity in src/vm/page.h)
 //   NYX_SNAPSHOT_DEPTH  maximum depth of the VM snapshot tree (positive,
 //                   default 1 = the classic root+incremental pair); depths
 //                   >1 let the engine push extra snapshots at packet
@@ -58,9 +53,13 @@ bool Flag(const char* name);
 // Like Flag, but `def` when unset or empty (for knobs that can override a
 // build-type default in both directions, e.g. NYX_LOCK_DEBUG=0).
 bool FlagOr(const char* name, bool def);
-// Positive-integer knob; `def` when unset, empty or not a positive number.
+// Positive-integer knob; `def` when unset or empty. Any other value that is
+// not a whole positive decimal number (signs, blanks and trailing characters
+// included) aborts with the variable's name: a typo must not silently run a
+// different configuration.
 size_t SizeOr(const char* name, size_t def);
-// Positive-double knob; `def` when unset, empty or not positive.
+// Positive-double knob; `def` when unset or empty, aborts like SizeOr on
+// anything else that is not a positive number.
 double DoubleOr(const char* name, double def);
 // String knob; `def` when unset or empty.
 std::string StringOr(const char* name, const std::string& def);
@@ -74,7 +73,6 @@ double Wall(double def);       // NYX_WALL
 bool LockDebug(bool def);      // NYX_LOCK_DEBUG (overrides `def` both ways)
 bool Audit();                  // NYX_AUDIT
 std::string TracePath();       // NYX_TRACE ("" when unset)
-std::string Tracker();         // NYX_TRACKER ("" when unset)
 size_t DirtyRing(size_t def);  // NYX_DIRTY_RING
 size_t SnapshotDepth(size_t def);  // NYX_SNAPSHOT_DEPTH
 bool AnalyzeCheck();           // NYX_ANALYZE_CHECK

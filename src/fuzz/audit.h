@@ -19,8 +19,8 @@
 // snapshot and its end state is compared too ("cross-restore"): restoring
 // the snapshot and executing the suffix must land exactly where executing
 // the whole program did. This directly validates that CreateIncremental +
-// RestoreIncremental is equivalent to re-execution — the oracle future
-// dirty-tracker backends and snapshot trees will be validated against.
+// RestoreIncremental is equivalent to re-execution — the oracle changes to
+// dirty tracking and the snapshot tree are validated against.
 //
 // The auditor is a debug oracle: it triples per-exec cost and is compiled
 // in always but constructed only when EngineConfig.audit is set.

@@ -41,12 +41,12 @@
 //                   NYX_EXEC_EPHEMERAL (re-initialized every exec). State
 //                   with neither annotation survives a snapshot restore
 //                   unrestored — the classic irreproducible-execution bug.
-//   raw-mprotect    mprotect / uffd write-protect ioctls outside the
-//                   dirty-backend layer (src/vm/dirty_backend.{h,cc}). All
-//                   page-protection changes flow through the DirtyBackend
-//                   interface so every backend sees a consistent view of
-//                   which pages are armed; one-off protection changes that
-//                   are not dirty tracking use nyx::RawProtect.
+//   raw-mprotect    mprotect outside the dirty tracker
+//                   (src/vm/guest_memory.{h,cc}), and userfaultfd / uffd
+//                   ioctls anywhere. All page-protection changes flow
+//                   through GuestMemory so the tracker's view of which
+//                   pages are armed stays exact; one-off protection changes
+//                   that are not dirty tracking use nyx::RawProtect.
 //   include-path    quoted project includes must use the full path from the
 //                   repository root ("src/...").
 //   local-warnings  -Wall/-Wextra/-Wno-* belong in the top-level
@@ -268,8 +268,8 @@ void LintSourceLines(const std::string& rel, const std::vector<std::string>& lin
   const bool metrics_impl = StartsWith(rel, "src/common/telemetry.") ||
                             StartsWith(rel, "src/common/trace.") || self;
   const bool snapshot_dirs = InSnapshotDirs(rel);
-  // The backend layer is built out of the raw protection syscalls it wraps.
-  const bool backend_impl = StartsWith(rel, "src/vm/dirty_backend") || self;
+  // The dirty tracker is built out of the raw protection syscall it wraps.
+  const bool tracker_impl = StartsWith(rel, "src/vm/guest_memory.") || self;
   // The errno table itself (and the rest of src/netemu/, which implements
   // the libc surface) defines the literals; everything else in src/ names
   // them. Tests and benches compare via the constants too, but are not
@@ -321,13 +321,14 @@ void LintSourceLines(const std::string& rel, const std::vector<std::string>& lin
              "(src/common/vclock.h) so executions replay deterministically");
     }
 
-    if (!backend_impl &&
-        (HasBareCall(code, "mprotect(") || code.find("userfaultfd") != std::string::npos ||
-         code.find("UFFDIO_") != std::string::npos)) {
+    if ((!tracker_impl && HasBareCall(code, "mprotect(")) ||
+        (!self && (code.find("userfaultfd") != std::string::npos ||
+                   code.find("UFFDIO_") != std::string::npos))) {
       Report(rel, lineno, "raw-mprotect",
-             "page-protection changes are banned outside src/vm/dirty_backend.*; "
-             "go through the DirtyBackend interface (or nyx::RawProtect for "
-             "one-off non-tracking protection changes)");
+             "page-protection changes are banned outside src/vm/guest_memory.*, "
+             "and userfaultfd everywhere; go through GuestMemory's dirty "
+             "tracking (or nyx::RawProtect for one-off non-tracking "
+             "protection changes)");
     }
 
     if (!env_impl && code.find("getenv") != std::string::npos) {
@@ -505,9 +506,11 @@ int SelfTest() {
        {"clock_gettime(CLOCK_MONOTONIC, &ts);"}, "raw-time", 0},
       {"raw mprotect in vm code", "src/vm/fixture.cc",
        {"mprotect(base, kPageSize, PROT_READ);"}, "raw-mprotect", 1},
-      {"uffd ioctl outside backend", "src/fuzz/fixture.cc",
+      {"uffd ioctl in fuzz code", "src/fuzz/fixture.cc",
        {"ioctl(fd, UFFDIO_WRITEPROTECT, &wp);"}, "raw-mprotect", 1},
-      {"mprotect in backend impl", "src/vm/dirty_backend.cc",
+      {"uffd ioctl in tracker impl", "src/vm/guest_memory.cc",
+       {"ioctl(fd, UFFDIO_WRITEPROTECT, &wp);"}, "raw-mprotect", 1},
+      {"mprotect in tracker impl", "src/vm/guest_memory.cc",
        {"mprotect(base, kPageSize, PROT_READ);"}, "raw-mprotect", 0},
       {"RawProtect is not mprotect", "src/vm/fixture.cc",
        {"RawProtect(base, kPageSize, PROT_READ);"}, "raw-mprotect", 0},

@@ -118,10 +118,15 @@ void SetUnresolvedFaultHook(UnresolvedFaultHook hook) {
   g_unresolved_hook.store(hook, std::memory_order_release);
 }
 
-GuestMemory::GuestMemory(size_t num_pages, TrackingMode mode, size_t dirty_ring_capacity)
+void RawProtect(void* addr, size_t len, int prot) {
+  if (mprotect(addr, len, prot) != 0) {
+    perror("mprotect");
+    abort();
+  }
+}
+
+GuestMemory::GuestMemory(size_t num_pages, size_t dirty_ring_capacity)
     : num_pages_(num_pages),
-      requested_mode_(mode),
-      mode_(mode),
       tracker_(num_pages, dirty_ring_capacity),
       opened_(num_pages, 0),
       dirty_epoch_(num_pages, 0),
@@ -137,8 +142,7 @@ GuestMemory::GuestMemory(size_t num_pages, TrackingMode mode, size_t dirty_ring_
   // One extra PROT_NONE guard page so a target running off the end of guest
   // memory faults immediately and deterministically instead of silently
   // reading whatever mapping happens to be adjacent. The guard page is never
-  // part of dirty tracking, so it is protected via the raw call, and the
-  // backend is attached to the tracked range only.
+  // part of dirty tracking, so it is protected via the raw call.
   void* p = mmap(nullptr, size_bytes() + kPageSize, PROT_READ | PROT_WRITE,
                  MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (p == MAP_FAILED) {
@@ -147,49 +151,50 @@ GuestMemory::GuestMemory(size_t num_pages, TrackingMode mode, size_t dirty_ring_
   }
   base_ = static_cast<uint8_t*>(p);
   RawProtect(base_ + size_bytes(), kPageSize, PROT_NONE);
-  backend_ = CreateDirtyBackend(mode, base_, num_pages_, &tracker_, &protect_calls_, &mode_);
-  // The handler also carries the unresolved-fault hook that turns a
-  // target's wild access into a detected crash, so it is installed whatever
-  // the backend; only fault-driven backends need the region registry.
   InstallHandlerOnce();
-  if (backend_->wants_segv_handler()) {
-    RegisterRegion(this);
-    registered_ = true;
-    // Bind the region to this thread (see thread_checker_ in the header).
-    NYX_DCHECK(thread_checker_.CalledOnValidThread());
-  }
+  RegisterRegion(this);
+  // Bind the region to this thread (see thread_checker_ in the header).
+  NYX_DCHECK(thread_checker_.CalledOnValidThread());
 }
 
 GuestMemory::~GuestMemory() {
-  if (registered_) {
-    UnregisterRegion(this);
-  }
-  // The backend (and any monitor thread watching the mapping) must be gone
-  // before the mapping itself.
-  backend_.reset();
+  UnregisterRegion(this);
   munmap(base_, size_bytes() + kPageSize);
 }
 
+void GuestMemory::Protect(uint32_t first_page, size_t count, int prot) {
+  if (count == 0) {
+    return;
+  }
+  RawProtect(base_ + static_cast<size_t>(first_page) * kPageSize, count * kPageSize, prot);
+  protect_calls_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void GuestMemory::ProtectList(const uint32_t* pages, size_t n, int prot) {
+  size_t i = 0;
+  while (i < n) {
+    const uint32_t start = pages[i];
+    size_t run = 1;
+    while (i + run < n && pages[i + run] == start + run) {
+      run++;
+    }
+    Protect(start, run, prot);
+    i += run;
+  }
+}
+
 void GuestMemory::ArmTracking() {
-  NYX_DCHECK(!backend_->wants_segv_handler() || thread_checker_.CalledOnValidThread());
+  NYX_DCHECK(thread_checker_.CalledOnValidThread());
   tracker_.Clear();
   ResetHotPages();
   armed_ = true;
   opened_count_ = 0;
-  backend_->Arm();
+  Protect(0, num_pages_, PROT_READ);
 }
 
 void GuestMemory::DisarmTracking() {
   armed_ = false;
-  backend_->Disarm();
-}
-
-void GuestMemory::SyncDirty() {
-  if (!backend_->needs_sync()) {
-    return;
-  }
-  telemetry::ScopedPhase phase(telemetry::Phase::kDirtySync);
-  backend_->Sync();
+  Protect(0, num_pages_, PROT_READ | PROT_WRITE);
 }
 
 void GuestMemory::OpenForRestore(const uint32_t* pages, size_t n) {
@@ -200,7 +205,7 @@ void GuestMemory::OpenForRestore(const uint32_t* pages, size_t n) {
       opened_[opened_count_++] = pages[i];
     }
   }
-  backend_->OpenPages(opened_.data() + start, opened_count_ - start);
+  ProtectList(opened_.data() + start, opened_count_ - start, PROT_READ | PROT_WRITE);
 }
 
 void GuestMemory::RestorePage(uint32_t page, const uint8_t* src) {
@@ -224,17 +229,15 @@ void GuestMemory::RestorePage(uint32_t page, const uint8_t* src) {
 }
 
 void GuestMemory::SealAfterRestore() {
-  NYX_DCHECK(!backend_->wants_segv_handler() || thread_checker_.CalledOnValidThread());
+  NYX_DCHECK(thread_checker_.CalledOnValidThread());
   EndEpoch();
-  if (opened_count_ > 0) {
-    backend_->ReArmPages(opened_.data(), opened_count_);
-    opened_count_ = 0;
-  }
+  ProtectList(opened_.data(), opened_count_, PROT_READ);
+  opened_count_ = 0;
   armed_ = true;
 }
 
 void GuestMemory::ReArmDirtyPages() {
-  NYX_DCHECK(!backend_->wants_segv_handler() || thread_checker_.CalledOnValidThread());
+  NYX_DCHECK(thread_checker_.CalledOnValidThread());
   EndEpoch();
   armed_ = true;
 }
@@ -242,9 +245,7 @@ void GuestMemory::ReArmDirtyPages() {
 void GuestMemory::EndEpoch() {
   if (tracker_.stack_size() == 0) {
     // Nothing was written (hot pages would be in the set): no epoch passed,
-    // so back-to-back restores do not separate two writing epochs. Passive
-    // backends still reset their log.
-    backend_->ReArmPages(rearm_.data(), 0);
+    // so back-to-back restores do not separate two writing epochs.
     return;
   }
   size_t n = 0;
@@ -273,9 +274,7 @@ void GuestMemory::EndEpoch() {
     rearm_[n++] = p;
     return false;
   });
-  // Called even with nothing to re-arm: passive backends reset their whole
-  // log here.
-  backend_->ReArmPages(rearm_.data(), n);
+  ProtectList(rearm_.data(), n, PROT_READ);
   epoch_++;
   hot_gauge_->Set(hot_count_);
 }
@@ -288,38 +287,28 @@ void GuestMemory::ResetHotPages() {
   hot_gauge_->Set(0);
 }
 
-void GuestMemory::Write(uint64_t guest_offset, const void* src, size_t len) {
-  NYX_DCHECK_LE(guest_offset + len, size_bytes());
-  if (armed_ && mode_ == TrackingMode::kSoftware) {
-    for (uint32_t p = PageOf(guest_offset); p <= PageOf(guest_offset + len - 1); p++) {
-      tracker_.MarkDirty(p);
-    }
-  }
-  memcpy(base_ + guest_offset, src, len);
-}
-
-void GuestMemory::Read(uint64_t guest_offset, void* dst, size_t len) const {
-  NYX_DCHECK_LE(guest_offset + len, size_bytes());
-  memcpy(dst, base_ + guest_offset, len);
-}
-
-void GuestMemory::Memset(uint64_t guest_offset, uint8_t value, size_t len) {
-  NYX_DCHECK_LE(guest_offset + len, size_bytes());
-  if (armed_ && mode_ == TrackingMode::kSoftware && len > 0) {
-    for (uint32_t p = PageOf(guest_offset); p <= PageOf(guest_offset + len - 1); p++) {
-      tracker_.MarkDirty(p);
-    }
-  }
-  memset(base_ + guest_offset, value, len);
-}
-
 bool GuestMemory::HandleFault(uintptr_t addr) {
   if (!armed_) {
     return false;
   }
   // Contains() excludes the guard page, so a resolvable fault is in range.
-  NYX_DCHECK_LT(PageOf(addr - reinterpret_cast<uintptr_t>(base_)), num_pages_);
-  return backend_->HandleFault(addr);
+  const uint32_t page = PageOf(addr - reinterpret_cast<uintptr_t>(base_));
+  NYX_DCHECK_LT(page, num_pages_);
+  if (tracker_.IsDirty(page)) {
+    // The page is already writable; this fault is a genuine bug (e.g. a
+    // wild write the handler cannot resolve).
+    return false;
+  }
+  tracker_.MarkDirty(page);
+  // Re-enable writes for this single page. mprotect is async-signal-safe
+  // in practice on Linux (it is a plain syscall); failure must not abort
+  // from inside the handler, so it goes unresolved instead.
+  if (mprotect(base_ + static_cast<size_t>(page) * kPageSize, kPageSize,
+               PROT_READ | PROT_WRITE) != 0) {
+    return false;
+  }
+  protect_calls_.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 }  // namespace nyx

@@ -2,23 +2,19 @@
 //
 // The paper relies on KVM's hardware-assisted dirty logging: the CPU traps
 // the first write to each page and reports it to the hypervisor. We
-// reproduce the signal in userspace behind a pluggable DirtyBackend
-// (src/vm/dirty_backend.h, DESIGN.md §12): write-protection faults
-// (mprotect/SIGSEGV or userfaultfd-WP) or passive soft-dirty harvesting.
-// Whatever the backend, every first write per page lands in the same
-// preallocated DirtyTracker stack, so restore cost stays O(#dirty).
-//
-// A software-tracking mode (explicit Write()/Memset() calls) exists for unit
-// tests that want to exercise tracker logic without kernel machinery.
+// reproduce the signal in userspace with write protection (DESIGN.md §12):
+// the armed region is mprotect'ed read-only, and the first write per page
+// raises a SIGSEGV whose handler marks the page dirty and makes it writable
+// again. Every first write lands in a preallocated DirtyTracker stack, so
+// restore cost stays O(#dirty).
 //
 // Restore protocol (used by Vm and the Agamotto manager):
-//   SyncDirty();                    // publish passive backends' dirty info
 //   <read tracker, decide pages>
 //   OpenForRestore(pages, n);       // make protected pages writable,
 //   RestorePage(page, src) ...      //   without polluting the dirty log
 //   SealAfterRestore();             // re-protect opened+dirty, clear, re-arm
-// The old per-page mprotect toggle pair around each copy is gone: opening
-// and sealing coalesce runs of pages into single syscalls.
+// Opening and sealing coalesce runs of consecutive pages into single
+// mprotect calls instead of toggling protection around every page copy.
 //
 // Hot pages (DESIGN.md §12). Every seal or re-arm with a nonempty dirty
 // set ends an arming epoch. A page dirty in two consecutive epochs becomes
@@ -35,11 +31,10 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <vector>
 
 #include "src/common/sync.h"
 #include "src/common/telemetry.h"
-#include "src/vm/dirty_backend.h"
 #include "src/vm/dirty_tracker.h"
 #include "src/vm/page.h"
 
@@ -53,6 +48,20 @@ namespace nyx {
 using UnresolvedFaultHook = bool (*)();
 void SetUnresolvedFaultHook(UnresolvedFaultHook hook);
 
+// The sanctioned raw mprotect wrapper for protection changes that are not
+// dirty tracking (guard pages, sealing read-only snapshot views). The
+// nyx_lint `raw-mprotect` rule bans direct mprotect calls outside
+// guest_memory.{h,cc}, so no page-protection change can bypass the tracker.
+// Aborts on failure.
+void RawProtect(void* addr, size_t len, int prot);
+
+// Dirty tracking has exactly one mechanism. The names below exist only
+// because the benchmark driver (hostbench/driver.cc) still sets and reports
+// a tracking mode; nothing branches on them, and they go together with the
+// driver lines that use them.
+enum class TrackingMode { kMprotect };
+inline const char* TrackingModeName(TrackingMode /*mode*/) { return "mprotect"; }
+
 // Consecutive unchanged restores after which a hot page is re-armed.
 inline constexpr uint8_t kHotDemoteAfter = 4;
 
@@ -64,13 +73,7 @@ struct HotPageStats {
 
 class GuestMemory {
  public:
-  // `mode` is the *requested* backend; when its kernel feature is missing
-  // the region falls back to mprotect (one warning per mode per process)
-  // and mode() reports what actually runs. The default stays compile-time
-  // kMprotect — NYX_TRACKER is resolved only by VmConfig, so unit tests of
-  // one specific backend are immune to the environment.
-  GuestMemory(size_t num_pages, TrackingMode mode = TrackingMode::kMprotect,
-              size_t dirty_ring_capacity = kDirtyRingCapacity);
+  explicit GuestMemory(size_t num_pages, size_t dirty_ring_capacity = kDirtyRingCapacity);
   ~GuestMemory();
 
   GuestMemory(const GuestMemory&) = delete;
@@ -80,9 +83,9 @@ class GuestMemory {
   const uint8_t* base() const { return base_; }
   size_t size_bytes() const { return num_pages_ * kPageSize; }
   size_t num_pages() const { return num_pages_; }
-  // The backend actually running (after any fallback).
-  TrackingMode mode() const { return mode_; }
-  TrackingMode requested_mode() const { return requested_mode_; }
+  // For the benchmark driver only (see TrackingMode above).
+  TrackingMode mode() const { return TrackingMode::kMprotect; }
+  TrackingMode requested_mode() const { return TrackingMode::kMprotect; }
 
   // Write-protects the whole region and clears the dirty set. From this point
   // every first write per page is recorded.
@@ -92,11 +95,6 @@ class GuestMemory {
   void DisarmTracking();
 
   bool armed() const { return armed_; }
-
-  // Drains backend-internal dirty state into the tracker. Required before
-  // reading the tracker (and implicitly before Open/Seal/ReArm) for passive
-  // backends; a cheap no-op for fault-driven ones.
-  void SyncDirty();
 
   // Makes still-protected pages writable without marking them dirty; the
   // restore path writes snapshot content through this window. Pages already
@@ -115,8 +113,7 @@ class GuestMemory {
 
   // Re-protects the dirty pages that are not hot and clears the tracker down
   // to the hot pages (cheap re-arm after a capture, when nothing was
-  // opened); ends the epoch. Callers that read the tracker first must
-  // SyncDirty() before this on passive backends.
+  // opened); ends the epoch.
   void ReArmDirtyPages();
 
   bool IsHot(uint32_t page) const { return hot_[page] != 0; }
@@ -132,11 +129,6 @@ class GuestMemory {
     return reinterpret_cast<T*>(base_ + guest_offset);
   }
 
-  // Explicit accessors (required in software mode; allowed in both).
-  void Write(uint64_t guest_offset, const void* src, size_t len);
-  void Read(uint64_t guest_offset, void* dst, size_t len) const;
-  void Memset(uint64_t guest_offset, uint8_t value, size_t len);
-
   // Called by the SIGSEGV handler. Returns true if `addr` was a tracking
   // fault inside this region and has been resolved.
   bool HandleFault(uintptr_t addr);
@@ -146,26 +138,26 @@ class GuestMemory {
            addr < reinterpret_cast<uintptr_t>(base_) + size_bytes();
   }
 
-  // Protection-change syscalls issued (mprotect calls, uffd range ioctls or
-  // clear_refs resets depending on the backend), for overhead statistics.
+  // mprotect calls issued for tracking, for overhead statistics.
   uint64_t protect_calls() const { return protect_calls_.load(std::memory_order_relaxed); }
 
  private:
   uint8_t* base_ = nullptr;
   size_t num_pages_;
-  TrackingMode requested_mode_;
-  TrackingMode mode_;  // effective, after fallback
   bool armed_ = false;
-  bool registered_ = false;  // in the SIGSEGV region registry
   DirtyTracker tracker_;
   // Atomic because HandleFault bumps it from inside the SIGSEGV handler;
   // a plain field lets the compiler cache reads across the faulting writes.
   std::atomic<uint64_t> protect_calls_{0};
-  std::unique_ptr<DirtyBackend> backend_;
   // Pages opened (made writable while clean) since the last seal,
   // preallocated so restores never allocate.
   std::vector<uint32_t> opened_;
   size_t opened_count_ = 0;
+
+  // mprotect over pages [first_page, first_page + count); aborts on failure.
+  void Protect(uint32_t first_page, size_t count, int prot);
+  // Protect() over a page list, one call per run of consecutive pages.
+  void ProtectList(const uint32_t* pages, size_t n, int prot);
 
   // Ends an arming epoch: promotes, keeps or demotes hot pages, re-arms the
   // rest of the dirty set and clears it down to the hot pages.
@@ -186,9 +178,9 @@ class GuestMemory {
   telemetry::Counter* demotions_counter_;
   telemetry::Counter* skipped_counter_;
   telemetry::Gauge* hot_gauge_;
-  // A region with fault-driven tracking must live its whole life on the
-  // thread that constructed it (the SIGSEGV handler only resolves faults for
-  // regions owned by the faulting thread — DESIGN.md §8.1). Debug builds
+  // A region must live its whole life on the thread that constructed it
+  // (the SIGSEGV handler only resolves faults for regions owned by the
+  // faulting thread — DESIGN.md §8.1). Debug builds
   // check that at every arm/disarm boundary instead of trusting the comment.
   ThreadChecker thread_checker_;
 };

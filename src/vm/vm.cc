@@ -7,7 +7,7 @@ namespace nyx {
 
 Vm::Vm(const VmConfig& config)
     : config_(config),
-      mem_(config.mem_pages, config.tracking, config.dirty_ring_capacity),
+      mem_(config.mem_pages, config.dirty_ring_capacity),
       disk_(config.disk_sectors),
       visited_(config.mem_pages, 0),
       revert_(config.mem_pages, 0) {
@@ -71,7 +71,6 @@ void Vm::RestoreTo(size_t depth) {
   // optimization targets; the scope nests inside the engine's
   // snapshot-restore phase, so self-time splits them cleanly.
   telemetry::ScopedPhase phase(telemetry::Phase::kDirtyReset);
-  mem_.SyncDirty();
 
   const size_t lo = depth < cur_depth_ ? depth : cur_depth_;
   const size_t hi = depth < cur_depth_ ? cur_depth_ : depth;
@@ -153,7 +152,6 @@ size_t Vm::PushSnapshot(const Bytes& aux) {
   NYX_CHECK(depth <= config_.snapshot_depth)
       << "PushSnapshot beyond snapshot_depth " << config_.snapshot_depth;
   telemetry::ScopedPhase phase(telemetry::Phase::kDirtyReset);
-  mem_.SyncDirty();
 
   if (slots_.size() < depth) {
     slots_.resize(depth);

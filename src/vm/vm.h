@@ -48,9 +48,9 @@ namespace nyx {
 struct VmConfig {
   size_t mem_pages = 1024;     // 4 MiB default guest RAM
   size_t disk_sectors = 2048;  // 1 MiB default disk
-  // Requested dirty-tracking backend; NYX_TRACKER overrides the default,
-  // unavailable backends fall back to mprotect at attach time.
-  TrackingMode tracking = TrackingModeFromEnv(TrackingMode::kMprotect);
+  // Read by nothing; set only by the benchmark driver (see TrackingMode in
+  // src/vm/guest_memory.h).
+  TrackingMode tracking = TrackingMode::kMprotect;
   bool fast_device_reset = true;  // false = QEMU-style serialize/deserialize
   // Simulated hardware dirty-ring size (pages per ring-full VM exit).
   size_t dirty_ring_capacity = env::DirtyRing(kDirtyRingCapacity);
@@ -67,8 +67,8 @@ struct VmStats {
   uint64_t deep_restores = 0;         // restores to depth >= 2
   uint64_t pages_restored = 0;
   uint64_t pages_captured = 0;
-  // Pages newly logged dirty: with a fault-driven backend, first-write
-  // traps taken. Hot pages re-entering the dirty set are not counted.
+  // Pages newly logged dirty, i.e. first-write traps taken. Hot pages
+  // re-entering the dirty set are not counted.
   uint64_t dirty_traps = 0;
   // Hot pages (GuestMemory, DESIGN.md §12).
   uint64_t hot_promotions = 0;

@@ -68,20 +68,23 @@ TEST(EnvTest, SizeOrParsesPositiveIntegers) {
   unsetenv(kVar);
   EXPECT_EQ(env::SizeOr(kVar, 7), 7u);
   {
+    ScopedEnv e(kVar, "");  // empty counts as unset
+    EXPECT_EQ(env::SizeOr(kVar, 7), 7u);
+  }
+  {
     ScopedEnv e(kVar, "42");
     EXPECT_EQ(env::SizeOr(kVar, 7), 42u);
   }
-  {
-    ScopedEnv e(kVar, "0");  // not positive
-    EXPECT_EQ(env::SizeOr(kVar, 7), 7u);
-  }
-  {
-    ScopedEnv e(kVar, "-3");
-    EXPECT_EQ(env::SizeOr(kVar, 7), 7u);
-  }
-  {
-    ScopedEnv e(kVar, "banana");
-    EXPECT_EQ(env::SizeOr(kVar, 7), 7u);
+}
+
+// A set value that is not a whole positive number must not silently run
+// the default or a truncated number instead.
+TEST(EnvDeathTest, SizeOrAbortsOnMalformedValues) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* bad : {"0", "-3", "banana", "8x", " 8", "1.5"}) {
+    ScopedEnv e(kVar, bad);
+    EXPECT_DEATH(env::SizeOr(kVar, 7), "NYX_ENV_TEST_KNOB=.* is not a positive integer")
+        << "value \"" << bad << "\"";
   }
 }
 
@@ -93,12 +96,17 @@ TEST(EnvTest, DoubleOrParsesPositiveDoubles) {
     EXPECT_DOUBLE_EQ(env::DoubleOr(kVar, 1.5), 2.25);
   }
   {
-    ScopedEnv e(kVar, "0");
-    EXPECT_DOUBLE_EQ(env::DoubleOr(kVar, 1.5), 1.5);
+    ScopedEnv e(kVar, ".5");
+    EXPECT_DOUBLE_EQ(env::DoubleOr(kVar, 1.5), 0.5);
   }
-  {
-    ScopedEnv e(kVar, "nope");
-    EXPECT_DOUBLE_EQ(env::DoubleOr(kVar, 1.5), 1.5);
+}
+
+TEST(EnvDeathTest, DoubleOrAbortsOnMalformedValues) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* bad : {"0", "-1", "nope", "2.5s", "inf", "nan"}) {
+    ScopedEnv e(kVar, bad);
+    EXPECT_DEATH(env::DoubleOr(kVar, 1.5), "NYX_ENV_TEST_KNOB=.* is not a positive number")
+        << "value \"" << bad << "\"";
   }
 }
 

@@ -1,5 +1,5 @@
 // Tests for GuestMemory: real mprotect-based write tracking via SIGSEGV,
-// software-mode tracking, arming/disarming and fault-path correctness.
+// arming/disarming and fault-path correctness.
 
 #include <gtest/gtest.h>
 
@@ -85,34 +85,18 @@ TEST(GuestMemoryMprotectTest, MultipleRegionsCoexist) {
   EXPECT_FALSE(b.tracker().IsDirty(0));
 }
 
-TEST(GuestMemorySoftwareTest, ExplicitWritesTracked) {
-  GuestMemory mem(8, TrackingMode::kSoftware);
+TEST(GuestMemoryMprotectTest, StraddlingMemcpyMarksBothPages) {
+  GuestMemory mem(8);
   mem.ArmTracking();
   const uint32_t value = 0x12345678;
-  mem.Write(2 * kPageSize - 2, &value, sizeof(value));  // straddles pages 1-2
+  // One copy across the page 1/2 boundary takes a trap on each page.
+  memcpy(mem.base() + 2 * kPageSize - 2, &value, sizeof(value));
   EXPECT_TRUE(mem.tracker().IsDirty(1));
   EXPECT_TRUE(mem.tracker().IsDirty(2));
+  EXPECT_EQ(mem.tracker().stack_size(), 2u);
   uint32_t out = 0;
-  mem.Read(2 * kPageSize - 2, &out, sizeof(out));
+  memcpy(&out, mem.base() + 2 * kPageSize - 2, sizeof(out));
   EXPECT_EQ(out, value);
-}
-
-TEST(GuestMemorySoftwareTest, MemsetTracked) {
-  GuestMemory mem(8, TrackingMode::kSoftware);
-  mem.ArmTracking();
-  mem.Memset(0, 0xaa, 2 * kPageSize + 1);
-  EXPECT_TRUE(mem.tracker().IsDirty(0));
-  EXPECT_TRUE(mem.tracker().IsDirty(1));
-  EXPECT_TRUE(mem.tracker().IsDirty(2));
-  EXPECT_FALSE(mem.tracker().IsDirty(3));
-  EXPECT_EQ(mem.base()[2 * kPageSize], 0xaa);
-}
-
-TEST(GuestMemorySoftwareTest, UnarmedWritesNotTracked) {
-  GuestMemory mem(4, TrackingMode::kSoftware);
-  uint8_t v = 1;
-  mem.Write(0, &v, 1);
-  EXPECT_EQ(mem.tracker().stack_size(), 0u);
 }
 
 TEST(GuestMemoryMprotectTest, TypedAccess) {

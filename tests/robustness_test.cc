@@ -80,14 +80,9 @@ INSTANTIATE_TEST_SUITE_P(Registry, TargetRobustnessTest, ::testing::ValuesIn(All
                            return n;
                          });
 
-// The guard must work whatever the dirty-tracking backend: it owns the
-// SIGSEGV handler even when tracking faults never arrive as signals.
-class FaultGuardTest : public ::testing::TestWithParam<TrackingMode> {};
-
-TEST_P(FaultGuardTest, WildStepBecomesCrash) {
-  if (!TrackingModeAvailable(GetParam())) {
-    GTEST_SKIP() << TrackingModeName(GetParam()) << " backend unavailable on this kernel";
-  }
+// The guard shares the SIGSEGV handler with dirty tracking: a wild access
+// must become a crash while first-write traps keep resolving.
+TEST(FaultGuardTest, WildStepBecomesCrash) {
   // A synthetic target that walks off guest memory on "go" and writes its
   // own guest state on "w": the guard must convert the fault into
   // kCrashWildSegv rather than dying, any number of times.
@@ -128,10 +123,8 @@ TEST_P(FaultGuardTest, WildStepBecomesCrash) {
   Spec spec = Spec::GenericNetwork();
   EngineConfig cfg;
   cfg.vm.mem_pages = 64;
-  cfg.vm.tracking = GetParam();
   NyxEngine engine(cfg, [] { return std::unique_ptr<Target>(new WildTarget()); }, spec);
   engine.Boot();
-  ASSERT_EQ(engine.vm().mem().mode(), GetParam());
   CoverageMap cov;
 
   // Two wild crashes back to back: the first landing must leave the guard
@@ -158,13 +151,6 @@ TEST_P(FaultGuardTest, WildStepBecomesCrash) {
   ASSERT_EQ(pthread_sigmask(SIG_BLOCK, nullptr, &mask), 0);
   EXPECT_EQ(sigismember(&mask, SIGSEGV), 0);
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, FaultGuardTest,
-                         ::testing::Values(TrackingMode::kMprotect, TrackingMode::kUffd,
-                                           TrackingMode::kSoftDirty),
-                         [](const ::testing::TestParamInfo<TrackingMode>& info) {
-                           return std::string(TrackingModeName(info.param));
-                         });
 
 }  // namespace
 }  // namespace nyx

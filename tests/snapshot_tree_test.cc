@@ -248,7 +248,7 @@ TEST(SnapshotTreeTest, HotPageAcrossPushRestoreToAndRestoreRoot) {
 // The same through Agamotto's checkpoints: its bitmap walk sees the hot
 // page as dirty, so checkpoints include it and restores revert it.
 TEST(SnapshotTreeTest, HotPageAgamottoCheckpointRoundTrip) {
-  GuestMemory mem(32, TrackingModeFromEnv(TrackingMode::kMprotect));
+  GuestMemory mem(32);
   AgamottoCheckpointManager mgr(mem, {});
   uint8_t* page2 = mem.base() + 2 * kPageSize;
   uint8_t* page4 = mem.base() + 4 * kPageSize;
