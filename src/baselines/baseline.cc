@@ -66,7 +66,7 @@ bool BaselineFuzzer::AflnetStateFeedback() {
     if (!net_.ValidConn(conn)) {
       continue;
     }
-    for (const Bytes& resp : net_.Sent(conn)) {
+    for (ByteView resp : net_.Sent(conn)) {
       uint32_t code = 0;
       if (resp.size() >= 3 && resp[0] >= '0' && resp[0] <= '9') {
         code = static_cast<uint32_t>((resp[0] - '0') * 100 + (resp[1] - '0') * 10 +

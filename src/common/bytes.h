@@ -21,7 +21,7 @@ inline Bytes ToBytes(std::string_view s) {
   return Bytes(s.begin(), s.end());
 }
 
-inline std::string ToString(const Bytes& b) {
+inline std::string ToString(ByteView b) {
   return std::string(b.begin(), b.end());
 }
 
@@ -90,7 +90,7 @@ inline void PutBe32(Bytes& b, uint32_t v) {
   }
 }
 
-inline void Append(Bytes& dst, const Bytes& src) {
+inline void Append(Bytes& dst, ByteView src) {
   dst.insert(dst.end(), src.begin(), src.end());
 }
 

@@ -8,9 +8,14 @@
 
 namespace nyx {
 
-bool Corpus::Add(Program program, uint64_t vtime_ns, size_t packet_count, double found_at_vsec) {
+bool Corpus::Add(const Program& program, uint64_t vtime_ns, size_t packet_count,
+                 double found_at_vsec) {
   NYX_DCHECK(thread_checker_.CalledOnValidThread());
-  program.StripSnapshotMarkers();
+  if (program.SnapshotMarkerPos().has_value()) {
+    Program stripped = program;
+    stripped.StripSnapshotMarkers();
+    return Add(stripped, vtime_ns, packet_count, found_at_vsec);
+  }
   if (spec_ != nullptr) {
     telemetry::ScopedPhase phase(telemetry::Phase::kVerify);
     const spec::Result verdict = spec::Verify(program, *spec_);
@@ -28,7 +33,7 @@ bool Corpus::Add(Program program, uint64_t vtime_ns, size_t packet_count, double
     }
   }
   CorpusEntry entry;
-  entry.program = std::move(program);
+  entry.program = program;
   entry.vtime_ns = vtime_ns;
   entry.packet_count = packet_count;
   entry.found_at_vsec = found_at_vsec;

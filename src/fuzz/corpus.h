@@ -43,14 +43,15 @@ class Corpus {
   Corpus() = default;
   explicit Corpus(const Spec* spec) : spec_(spec) {}
 
-  // Returns false (and drops the program) if verification rejects it, or if
+  // Copies `program` in (snapshot markers stripped) and returns true, or
+  // returns false without copying if verification rejects it, or if
   // an entry with the same semantic identity (spec::NormalHash — dead ops
   // elided, ignored fault args zeroed) is already queued. Coverage has
   // already been merged globally by the time Add runs, so dropping a
   // semantic duplicate loses nothing; it only stops dead-op-padded variants
   // from bloating the schedule (StateAFL's observation — semantic identity,
   // not wire identity, is what matters for stateful corpora).
-  bool Add(Program program, uint64_t vtime_ns, size_t packet_count, double found_at_vsec);
+  bool Add(const Program& program, uint64_t vtime_ns, size_t packet_count, double found_at_vsec);
 
   // Semantic duplicates rejected so far (campaign stats).
   uint64_t semantic_dupes() const { return semantic_dupes_; }

@@ -9,6 +9,16 @@
 
 namespace nyx {
 
+namespace {
+// The per-exec RNG hash: the snapshot-prefix hash (0 without a marker) xor
+// the full-input hash, read off the input's prefix hashes.
+uint64_t RngHashFromPrefixes(const std::vector<uint64_t>& prefix_hashes,
+                             std::optional<size_t> marker) {
+  const uint64_t prefix_hash = marker.has_value() ? prefix_hashes[*marker] : 0;
+  return prefix_hash ^ prefix_hashes.back();
+}
+}  // namespace
+
 NyxEngine::NyxEngine(const EngineConfig& config, TargetFactory factory, const Spec& spec)
     : config_(config), spec_(spec) {
   vm_ = std::make_unique<Vm>(config_.vm);
@@ -64,6 +74,8 @@ NyxEngine::NyxEngine(const EngineConfig& config, TargetFactory factory, const Sp
   // Per-exec ephemerals: never snapshotted, asserted back to their idle
   // state between executions where an invariant exists.
   state_registry_.DeclareEphemeral("engine.exec_rng", "src/fuzz/engine.cc");
+  // Recomputed from the input at the start of every exec.
+  state_registry_.DeclareEphemeral("engine.prefix_hashes", "src/fuzz/engine.cc");
   state_registry_.DeclareEphemeral("guest.fault_jmp", "src/fuzz/guest.cc",
                                    [] { return FaultGuardIdle(); });
   state_registry_.DeclareEphemeral("coverage.trace_map", "src/fuzz/coverage.h");
@@ -200,7 +212,9 @@ ExecResult NyxEngine::RunInternal(const Program& input, CoverageMap& cov) {
   const uint64_t t0 = clock_.now_ns();
 
   const auto marker = input.SnapshotMarkerPos();
-  const uint64_t prefix_hash = marker.has_value() ? input.OpsHash(*marker) : 0;
+  // One hashing pass answers every prefix question below: chain-link
+  // matching, link creation and the RNG seed.
+  input.PrefixHashes(prefix_hashes_);
 
   size_t start_op = 0;
   {
@@ -215,8 +229,7 @@ ExecResult NyxEngine::RunInternal(const Program& input, CoverageMap& cov) {
                                                             : vm_->max_valid_depth();
       for (size_t d = 1; d <= limit; d++) {
         const ChainLink& link = chain_[d - 1];
-        if (link.ops_hashed > input.ops.size() ||
-            input.OpsHash(link.ops_hashed) != link.hash) {
+        if (link.ops_hashed > input.ops.size() || prefix_hashes_[link.ops_hashed] != link.hash) {
           break;
         }
         match = d;
@@ -238,13 +251,11 @@ ExecResult NyxEngine::RunInternal(const Program& input, CoverageMap& cov) {
   GuestContext ctx(*vm_, net_, cov, clock_, config_.cost);
   ctx.set_asan(config_.asan);
   // Deterministic per-input noise: the same input always sees the same
-  // layout, different inputs differ. OpsHash is allocation-free — a full
-  // Serialize() here cost a heap round trip on every exec. Differential
-  // probes pin the hash (RunPinned) so a rewritten program sees the
-  // original's noise.
+  // layout, different inputs differ. Differential probes pin the hash
+  // (RunPinned) so a rewritten program sees the original's noise.
   const uint64_t rng_hash = exec_rng_hash_override_.has_value()
                                 ? *exec_rng_hash_override_
-                                : prefix_hash ^ input.OpsHash(input.ops.size());
+                                : RngHashFromPrefixes(prefix_hashes_, marker);
   ctx.ReseedRng(Mix64(config_.seed ^ rng_hash));
 
   for (size_t i = start_op; i < input.ops.size() && !ctx.crash().crashed; i++) {
@@ -261,7 +272,7 @@ ExecResult NyxEngine::RunInternal(const Program& input, CoverageMap& cov) {
       // the candidate input also carries the marker at this position and
       // resuming at i+1 skips exactly the executed prefix.
       chain_.clear();
-      chain_.push_back({input.OpsHash(i + 1), static_cast<uint32_t>(i + 1)});
+      chain_.push_back({prefix_hashes_[i + 1], static_cast<uint32_t>(i + 1)});
       result.created_incremental = true;
       continue;
     }
@@ -302,7 +313,7 @@ ExecResult NyxEngine::RunInternal(const Program& input, CoverageMap& cov) {
             const size_t d =
                 vm_->PushSnapshot(SerializeInterpState(static_cast<uint32_t>(i + 1)));
             chain_.resize(d - 1);
-            chain_.push_back({input.OpsHash(i + 1), static_cast<uint32_t>(i + 1)});
+            chain_.push_back({prefix_hashes_[i + 1], static_cast<uint32_t>(i + 1)});
             result.created_incremental = true;
           }
         }
@@ -434,9 +445,9 @@ bool NyxEngine::CheckRewriteEquivalence(const Program& original, const Program& 
 }
 
 uint64_t InputRngHash(const Program& input) {
-  const auto marker = input.SnapshotMarkerPos();
-  const uint64_t prefix_hash = marker.has_value() ? input.OpsHash(*marker) : 0;
-  return prefix_hash ^ input.OpsHash(input.ops.size());
+  std::vector<uint64_t> prefix_hashes;
+  input.PrefixHashes(prefix_hashes);
+  return RngHashFromPrefixes(prefix_hashes, input.SnapshotMarkerPos());
 }
 
 void NyxEngine::DropIncremental() {
@@ -448,8 +459,8 @@ std::vector<Bytes> NyxEngine::LastResponses() const {
   std::vector<Bytes> out;
   for (int conn : value_conns_) {
     if (net_.ValidConn(conn)) {
-      for (const Bytes& b : net_.Sent(conn)) {
-        out.push_back(b);
+      for (ByteView b : net_.Sent(conn)) {
+        out.emplace_back(b.begin(), b.end());
       }
     }
   }

@@ -136,6 +136,9 @@ class NyxEngine {
   bool booted_ = false;
   SnapshotStateRegistry state_registry_;
   Bytes aux_scratch_;
+  // The running input's Program::PrefixHashes, refilled every exec
+  // (per-exec ephemeral, never snapshot state).
+  std::vector<uint64_t> prefix_hashes_;
   std::unique_ptr<DivergenceAuditor> auditor_;
   uint64_t last_exec_rng_hash_ = 0;
   // When set, RunInternal seeds the per-exec RNG from this instead of the

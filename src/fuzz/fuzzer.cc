@@ -27,7 +27,7 @@ void NyxFuzzer::AddSeed(Program seed) {
     return;
   }
   const size_t packets = seed.PacketOpIndices(spec_).size();
-  corpus_.Add(std::move(seed), 0, packets, 0.0);
+  corpus_.Add(seed, 0, packets, 0.0);
 }
 
 bool NyxFuzzer::RunOne(const Program& input, CampaignResult& result) {
@@ -152,7 +152,7 @@ CampaignResult NyxFuzzer::Run(const CampaignLimits& limits) {
       pkt.args.push_back(0);
       pkt.data = ToBytes("\r\n");
       p.ops.push_back(pkt);
-      corpus_.Add(std::move(p), 0, 1, vnow());
+      corpus_.Add(p, 0, 1, vnow());
     }
 
     // Schedule an input and decide snapshot placement for this batch.
@@ -162,14 +162,15 @@ CampaignResult NyxFuzzer::Run(const CampaignLimits& limits) {
     found_since_last_schedule = false;
     engine_.DropIncremental();
 
-    const auto base_packets = entry.program.PacketOpIndices(spec_);
+    // Entries live in a deque: `base` stays valid while Add() appends.
+    const Program& base = entry.program;
+    base.PacketOpIndices(spec_, 0, packet_indices_);
     size_t first_mutable_op = 0;
-    if (decision.use_incremental && decision.packet_index < base_packets.size()) {
-      first_mutable_op = base_packets[decision.packet_index] + 1;
+    if (decision.use_incremental && decision.packet_index < packet_indices_.size()) {
+      first_mutable_op = packet_indices_[decision.packet_index] + 1;
     }
     // Pin the donor list for this batch (Add() may reallocate).
     const std::vector<const Program*> donors = corpus_.Donors();
-    const Program base = entry.program;
 
     for (uint64_t iter = 0; iter < config_.iterations_per_schedule && !out_of_budget(); iter++) {
       // Mostly mutate the suffix so the incremental snapshot stays reusable;
@@ -177,7 +178,10 @@ CampaignResult NyxFuzzer::Run(const CampaignLimits& limits) {
       // snapshot — a prefix change would invalidate the snapshot anyway).
       const bool full_range =
           decision.use_incremental && rng_.Chance(1, 4) && first_mutable_op > 0;
-      Program mutated = base;
+      // Copy-assignment refills the scratch program in place, reusing the
+      // op, arg and data buffers of the previous iteration.
+      Program& mutated = scratch_;
+      mutated = base;
       {
         telemetry::ScopedPhase phase(telemetry::Phase::kMutate);
         mutator_.Mutate(mutated, donors, full_range ? 0 : first_mutable_op);
@@ -190,8 +194,8 @@ CampaignResult NyxFuzzer::Run(const CampaignLimits& limits) {
         found_since_last_schedule = true;
         mutated.StripSnapshotMarkers();
         MaybeAnalyzeCheck(mutated, result);
-        const size_t packets = mutated.PacketOpIndices(spec_).size();
-        if (corpus_.Add(std::move(mutated), last_exec_vtime_, packets, vnow()) &&
+        mutated.PacketOpIndices(spec_, 0, packet_indices_);
+        if (corpus_.Add(mutated, last_exec_vtime_, packet_indices_.size(), vnow()) &&
             config_.frontier != nullptr) {
           pending_publish_.push_back(corpus_.size() - 1);
         }
@@ -223,7 +227,7 @@ CampaignResult NyxFuzzer::Run(const CampaignLimits& limits) {
           found_since_last_schedule = true;
           MaybeAnalyzeCheck(imp.program, result);
           const size_t packets = imp.program.PacketOpIndices(spec_).size();
-          corpus_.Add(std::move(imp.program), last_exec_vtime_, packets, vnow());
+          corpus_.Add(imp.program, last_exec_vtime_, packets, vnow());
           record_coverage();
         }
       }

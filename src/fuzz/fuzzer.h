@@ -135,6 +135,11 @@ class NyxFuzzer {
   Rng rng_;
   uint64_t last_exec_vtime_ = 0;
   size_t last_packets_ = 0;
+  // Reused across iterations so the steady-state loop does not allocate:
+  // the program being mutated and run, refilled from the schedule's base
+  // each iteration, and a packet-index buffer.
+  Program scratch_;
+  std::vector<size_t> packet_indices_;
   // Sharded mode: entries found since the last frontier sync.
   std::vector<size_t> pending_publish_;  // corpus indices
   uint64_t schedules_since_sync_ = 0;

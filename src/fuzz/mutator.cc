@@ -61,7 +61,6 @@ void Mutator::HavocBytes(Bytes& data) {
         if (data.size() < kMaxPacketBytes) {
           const uint64_t n = 1 + rng_.Below(16);
           const size_t pos = rng_.Below(data.size() + 1);
-          Bytes block;
           // Repeated fills draw from the token alphabet half the time (when
           // available): "///" or "..." blocks open structural paths that a
           // single random byte never would.
@@ -69,10 +68,13 @@ void Mutator::HavocBytes(Bytes& data) {
                                    ? kTokenBytes[rng_.Below(std::size(kTokenBytes))]
                                    : rng_.NextByte();
           const bool repeat = rng_.Chance(1, 2);
-          for (uint64_t i = 0; i < n; i++) {
-            block.push_back(repeat ? fill : rng_.NextByte());
+          // Open the gap in place, then fill it in draw order.
+          data.insert(data.begin() + static_cast<long>(pos), n, fill);
+          if (!repeat) {
+            for (uint64_t i = 0; i < n; i++) {
+              data[pos + i] = rng_.NextByte();
+            }
           }
-          data.insert(data.begin() + static_cast<long>(pos), block.begin(), block.end());
         }
         break;
       }
@@ -117,12 +119,8 @@ void Mutator::HavocBytes(Bytes& data) {
 bool Mutator::StructureMutation(Program& program, const std::vector<const Program*>& donors,
                                 size_t first_mutable_op) {
   // Mutable packet ops only.
-  std::vector<size_t> packets;
-  for (size_t i : program.PacketOpIndices(spec_)) {
-    if (i >= first_mutable_op) {
-      packets.push_back(i);
-    }
-  }
+  std::vector<size_t>& packets = packets_;
+  program.PacketOpIndices(spec_, first_mutable_op, packets);
 
   switch (rng_.Below(6)) {
     case 0: {  // duplicate a packet in place
@@ -164,7 +162,8 @@ bool Mutator::StructureMutation(Program& program, const std::vector<const Progra
         return false;
       }
       const Program* donor = donors[rng_.Below(donors.size())];
-      const auto donor_packets = donor->PacketOpIndices(spec_);
+      std::vector<size_t>& donor_packets = donor_packets_;
+      donor->PacketOpIndices(spec_, 0, donor_packets);
       if (donor_packets.empty()) {
         return false;
       }
@@ -183,7 +182,8 @@ bool Mutator::StructureMutation(Program& program, const std::vector<const Progra
       bool have = false;
       if (!donors.empty()) {
         const Program* donor = donors[rng_.Below(donors.size())];
-        const auto donor_packets = donor->PacketOpIndices(spec_);
+        std::vector<size_t>& donor_packets = donor_packets_;
+        donor->PacketOpIndices(spec_, 0, donor_packets);
         if (!donor_packets.empty()) {
           source = donor->ops[donor_packets[rng_.Below(donor_packets.size())]];
           have = true;
@@ -228,11 +228,12 @@ void Mutator::BindArgsLive(Op& op, const Program& program, size_t at) {
 }
 
 bool Mutator::FaultMutation(Program& program, size_t first_mutable_op) {
-  const std::vector<int> fault_nodes = spec_.NodesWithSemantic(NodeSemantic::kFault);
+  const std::vector<int>& fault_nodes = fault_nodes_;
   if (fault_nodes.empty()) {
     return false;
   }
-  std::vector<size_t> fault_ops;
+  std::vector<size_t>& fault_ops = fault_ops_;
+  fault_ops.clear();
   for (size_t i = first_mutable_op; i < program.ops.size(); i++) {
     const Op& op = program.ops[i];
     if (!op.is_snapshot() && op.node_type < spec_.node_type_count() &&
@@ -273,7 +274,7 @@ bool Mutator::FaultMutation(Program& program, size_t first_mutable_op) {
       op.node_type = static_cast<uint8_t>(fault_nodes[rng_.Below(fault_nodes.size())]);
       const NodeTypeDef& node = spec_.node_type(op.node_type);
       op.args.assign(node.borrows.size() + node.consumes.size(), 0);
-      op.data = random_plan().Encode();
+      random_plan().EncodeTo(op.data);
       const size_t lo = std::max(first_mutable_op, static_cast<size_t>(1));
       if (program.ops.size() + 1 < lo) {
         return false;
@@ -287,7 +288,9 @@ bool Mutator::FaultMutation(Program& program, size_t first_mutable_op) {
       if (fault_ops.empty()) {
         return false;
       }
-      program.ops[fault_ops[rng_.Below(fault_ops.size())]].data = random_plan().Encode();
+      // The plan is drawn before the op it lands on.
+      const FaultPlan plan = random_plan();
+      plan.EncodeTo(program.ops[fault_ops[rng_.Below(fault_ops.size())]].data);
       return true;
     }
     default: {  // delete a fault op
@@ -309,14 +312,9 @@ void Mutator::Mutate(Program& program, const std::vector<const Program*>& corpus
     // Byte-level havoc is the workhorse; structural changes are rarer, like
     // AFL's havoc-vs-splice balance.
     if (rng_.Chance(3, 4)) {
-      std::vector<size_t> packets;
-      for (size_t i : program.PacketOpIndices(spec_)) {
-        if (i >= first_mutable_op) {
-          packets.push_back(i);
-        }
-      }
-      if (!packets.empty()) {
-        HavocBytes(program.ops[packets[rng_.Below(packets.size())]].data);
+      program.PacketOpIndices(spec_, first_mutable_op, packets_);
+      if (!packets_.empty()) {
+        HavocBytes(program.ops[packets_[rng_.Below(packets_.size())]].data);
         continue;
       }
     }

@@ -32,7 +32,11 @@ class Mutator {
   // (FuzzerConfig::fault_injection); off, existing fault ops are left alone
   // but no new ones appear.
   Mutator(const Spec& spec, uint64_t seed, bool dictionary = true, bool faults = false)
-      : spec_(spec), rng_(seed), dictionary_(dictionary), faults_(faults) {}
+      : spec_(spec),
+        rng_(seed),
+        dictionary_(dictionary),
+        faults_(faults),
+        fault_nodes_(spec.NodesWithSemantic(NodeSemantic::kFault)) {}
 
   // Applies 1..n stacked mutations to `program`, never touching ops before
   // `first_mutable_op`. `corpus_donors` provides splice material (may be
@@ -58,6 +62,13 @@ class Mutator {
   Rng rng_;
   bool dictionary_;
   bool faults_;
+  const std::vector<int> fault_nodes_;  // spec nodes with NodeSemantic::kFault
+  // Op-index buffers refilled by each mutation, kept so their capacity is
+  // reused: mutable packets of the program being mutated, packets of the
+  // chosen donor, and mutable fault ops.
+  std::vector<size_t> packets_;
+  std::vector<size_t> donor_packets_;
+  std::vector<size_t> fault_ops_;
 };
 
 }  // namespace nyx

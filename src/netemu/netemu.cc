@@ -22,6 +22,7 @@ NetEmu::NetEmu(Config config)
         std::string("netemu.faults_injected.") + FaultKindName(static_cast<FaultKind>(k)));
   }
   sockets_.reserve(config_.max_sockets);
+  spare_sockets_.reserve(config_.max_sockets);
   fds_.reserve(config_.max_fds);
 }
 
@@ -46,7 +47,7 @@ std::optional<FaultPlan> NetEmu::TakeFault(Sock& s, std::initializer_list<FaultK
   const bool one_shot =
       plan.kind == FaultKind::kConnReset || plan.kind == FaultKind::kPeerClose;
   if (one_shot || --front.remaining == 0) {
-    s.faults.pop_front();
+    s.faults.erase(s.faults.begin());
   }
   faults_injected_++;
   fault_counters_[static_cast<size_t>(plan.kind)]->Add(1);
@@ -57,7 +58,7 @@ void NetEmu::ResetSock(Sock& s) {
   // Queued-but-unread fuzz input dies with the connection; account for it
   // separately so throughput numbers stay honest (ISSUE satellite).
   size_t dropped = 0;
-  for (const Bytes& pkt : s.rx) {
+  for (ByteView pkt : s.rx) {
     dropped += pkt.size();
   }
   if (!s.rx.empty() && s.rx_front_consumed < s.rx.front().size()) {
@@ -73,7 +74,7 @@ void NetEmu::ResetSock(Sock& s) {
 int NetEmu::AllocSocket() {
   for (size_t i = 0; i < sockets_.size(); i++) {
     if (!sockets_[i].live) {
-      sockets_[i] = Sock{};
+      sockets_[i].Clear();
       sockets_[i].live = true;
       return static_cast<int>(i);
     }
@@ -81,9 +82,19 @@ int NetEmu::AllocSocket() {
   if (sockets_.size() >= config_.max_sockets) {
     return -1;
   }
-  sockets_.push_back(Sock{});
+  AppendSocket();
   sockets_.back().live = true;
   return static_cast<int>(sockets_.size() - 1);
+}
+
+void NetEmu::AppendSocket() {
+  if (spare_sockets_.empty()) {
+    sockets_.emplace_back();
+    return;
+  }
+  sockets_.push_back(std::move(spare_sockets_.back()));
+  spare_sockets_.pop_back();
+  sockets_.back().Clear();
 }
 
 int NetEmu::AllocFd(int sock) {
@@ -188,7 +199,7 @@ int NetEmu::Accept(int fd) {
     switch (f->kind) {
       case FaultKind::kConnReset: {
         const int aborted = s->pending_accept.front();
-        s->pending_accept.pop_front();
+        s->pending_accept.erase(s->pending_accept.begin());
         ResetSock(sockets_[aborted]);
         DropSocketRef(aborted);
         return kErrConnReset;
@@ -206,7 +217,7 @@ int NetEmu::Accept(int fd) {
   }
   blocked_on_input_ = false;
   const int conn = s->pending_accept.front();
-  s->pending_accept.pop_front();
+  s->pending_accept.erase(s->pending_accept.begin());
   const int conn_fd = AllocFd(conn);
   if (conn_fd >= 0) {
     // The backlog's reference is transferred to the new fd.
@@ -305,7 +316,7 @@ int NetEmu::Recv(int fd, void* buf, size_t len) {
   if (s->kind == SockKind::kDgram) {
     // One datagram per call; excess bytes are discarded (truncation), like
     // recvfrom on a SOCK_DGRAM socket.
-    const Bytes& pkt = s->rx.front();
+    const ByteView pkt = s->rx.front();
     out = pkt.size() < len ? pkt.size() : len;
     if (out > 0) {  // empty datagram: data() may be null
       memcpy(buf, pkt.data(), out);
@@ -317,7 +328,7 @@ int NetEmu::Recv(int fd, void* buf, size_t len) {
 
   if (config_.preserve_packet_boundaries) {
     // At most one packet per call — the emulation the paper argues for.
-    const Bytes& pkt = s->rx.front();
+    const ByteView pkt = s->rx.front();
     const size_t avail = pkt.size() - s->rx_front_consumed;
     out = avail < len ? avail : len;
     if (out > 0) {  // empty packet: data() may be null
@@ -334,7 +345,7 @@ int NetEmu::Recv(int fd, void* buf, size_t len) {
   // Coalescing mode (desock-style): drain as much as fits.
   uint8_t* dst = static_cast<uint8_t*>(buf);
   while (out < len && !s->rx.empty()) {
-    const Bytes& pkt = s->rx.front();
+    const ByteView pkt = s->rx.front();
     const size_t avail = pkt.size() - s->rx_front_consumed;
     const size_t take = avail < len - out ? avail : len - out;
     if (take > 0) {  // empty packet: data() may be null
@@ -385,8 +396,7 @@ int NetEmu::Send(int fd, const void* data, size_t len) {
         NYX_UNREACHABLE() << "kind outside TakeFault filter";
     }
   }
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  s->tx.emplace_back(p, p + len);
+  s->tx.push_back(ByteView(static_cast<const uint8_t*>(data), len));
   return static_cast<int>(len);
 }
 
@@ -639,7 +649,7 @@ int NetEmu::FindDgramSocket(uint16_t port) const {
   return -1;
 }
 
-bool NetEmu::DeliverPacket(int conn, Bytes data) {
+bool NetEmu::DeliverPacket(int conn, ByteView data) {
   telemetry::ScopedPhase phase(telemetry::Phase::kNetemu);
   // A dead connection id here means the interpreter's view of the socket
   // table diverged from ours — count it instead of dropping silently.
@@ -655,7 +665,7 @@ bool NetEmu::DeliverPacket(int conn, Bytes data) {
     faulted_bytes_ += data.size();
     return true;
   }
-  sockets_[conn].rx.push_back(std::move(data));
+  sockets_[conn].rx.push_back(data);
   return true;
 }
 
@@ -675,8 +685,8 @@ void NetEmu::PeerClose(int conn) {
   }
 }
 
-const std::vector<Bytes>& NetEmu::Sent(int conn) const {
-  static const std::vector<Bytes> kEmpty;
+const PacketQueue& NetEmu::Sent(int conn) const {
+  static const PacketQueue kEmpty;
   if (!ValidConn(conn)) {
     return kEmpty;
   }
@@ -689,7 +699,7 @@ size_t NetEmu::UndeliveredBytes() const {
     if (!s.live || !s.attack_surface) {
       continue;
     }
-    for (const Bytes& pkt : s.rx) {
+    for (ByteView pkt : s.rx) {
       n += pkt.size();
     }
     // A partially read front packet: the consumed prefix is no longer
@@ -723,7 +733,7 @@ void NetEmu::SerializeTo(Bytes& out) const {
     PutLe32(out, static_cast<uint32_t>(s.refcount));
     PutLe64(out, s.rx_front_consumed);
     PutLe32(out, static_cast<uint32_t>(s.rx.size()));
-    for (const Bytes& pkt : s.rx) {
+    for (ByteView pkt : s.rx) {
       PutLe32(out, static_cast<uint32_t>(pkt.size()));
       Append(out, pkt);
     }
@@ -732,7 +742,7 @@ void NetEmu::SerializeTo(Bytes& out) const {
       PutLe32(out, static_cast<uint32_t>(c));
     }
     PutLe32(out, static_cast<uint32_t>(s.tx.size()));
-    for (const Bytes& pkt : s.tx) {
+    for (ByteView pkt : s.tx) {
       PutLe32(out, static_cast<uint32_t>(pkt.size()));
       Append(out, pkt);
     }
@@ -784,11 +794,10 @@ bool NetEmu::Deserialize(ByteView blob) {
     uint64_t hi = u32();
     return lo | (hi << 32);
   };
+  // A view of the next n bytes (empty when the blob is too short; the
+  // final bounds check then rejects the blob).
   auto bytes = [&](size_t n) {
-    Bytes b;
-    if (off + n <= blob.size()) {
-      b.assign(blob.begin() + static_cast<long>(off), blob.begin() + static_cast<long>(off + n));
-    }
+    const ByteView b = off + n <= blob.size() ? blob.subspan(off, n) : ByteView();
     off += n;
     return b;
   };
@@ -800,8 +809,17 @@ bool NetEmu::Deserialize(ByteView blob) {
   if (nsock > config_.max_sockets) {
     return false;
   }
-  sockets_.assign(nsock, Sock{});
+  // Recycle sockets rather than rebuild them: surplus ones move to the
+  // spare pool, and every socket is cleared before it is refilled.
+  while (sockets_.size() > nsock) {
+    spare_sockets_.push_back(std::move(sockets_.back()));
+    sockets_.pop_back();
+  }
+  while (sockets_.size() < nsock) {
+    AppendSocket();
+  }
   for (Sock& s : sockets_) {
+    s.Clear();
     s.live = u8() != 0;
     s.kind = static_cast<SockKind>(u8());
     s.port = u16();

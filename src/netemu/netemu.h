@@ -18,7 +18,6 @@
 #define SRC_NETEMU_NETEMU_H_
 
 #include <cstdint>
-#include <deque>
 #include <initializer_list>
 #include <optional>
 #include <vector>
@@ -43,6 +42,60 @@ struct PollRequest {
   bool want_write = false;
   bool readable = false;
   bool writable = false;
+};
+
+// FIFO of packets stored back to back in one byte buffer, boundaries kept.
+// Clearing (or draining) keeps both buffers' capacity, so a socket recycled
+// across executions queues packets without allocating once warm.
+class PacketQueue {
+ public:
+  bool empty() const { return head_ == ends_.size(); }
+  size_t size() const { return ends_.size() - head_; }
+  // The i-th queued packet, counted from the front.
+  ByteView operator[](size_t i) const {
+    const size_t k = head_ + i;
+    const size_t begin = k == 0 ? 0 : ends_[k - 1];
+    return ByteView(bytes_.data() + begin, ends_[k] - begin);
+  }
+  ByteView front() const { return (*this)[0]; }
+
+  // Range-for over the queued packets, front first.
+  class Iterator {
+   public:
+    Iterator(const PacketQueue* queue, size_t i) : queue_(queue), i_(i) {}
+    ByteView operator*() const { return (*queue_)[i_]; }
+    Iterator& operator++() {
+      i_++;
+      return *this;
+    }
+    bool operator!=(const Iterator& other) const { return i_ != other.i_; }
+
+   private:
+    const PacketQueue* queue_;
+    size_t i_;
+  };
+  Iterator begin() const { return Iterator(this, 0); }
+  Iterator end() const { return Iterator(this, size()); }
+
+  void push_back(ByteView packet) {
+    bytes_.insert(bytes_.end(), packet.begin(), packet.end());
+    ends_.push_back(bytes_.size());
+  }
+  void pop_front() {
+    if (++head_ == ends_.size()) {
+      clear();
+    }
+  }
+  void clear() {
+    bytes_.clear();
+    ends_.clear();
+    head_ = 0;
+  }
+
+ private:
+  Bytes bytes_;               // packet payloads, back to back
+  std::vector<size_t> ends_;  // end offset in bytes_ of every packet
+  size_t head_ = 0;           // index into ends_ of the front packet
 };
 
 class NetEmu {
@@ -114,7 +167,7 @@ class NetEmu {
   // from QueueConnection() or from ClientConnections(). Returns true when
   // the bytes entered the emulator (a reset connection accepts-and-drops
   // them into faulted_bytes(), like a kernel dropping onto a dead socket).
-  bool DeliverPacket(int conn, Bytes data);
+  bool DeliverPacket(int conn, ByteView data);
   void PeerClose(int conn);
   // Queues one deterministic fault plan on a connection. Plans are strictly
   // FIFO per socket: the front plan is consulted by the libc-shaped call it
@@ -123,7 +176,7 @@ class NetEmu {
   // NodeSemantic::kFault opcode; see src/spec/fault_plan.h.
   bool QueueFault(int conn, const FaultPlan& plan);
   // Everything the target sent on this connection, packet boundaries as sent.
-  const std::vector<Bytes>& Sent(int conn) const;
+  const PacketQueue& Sent(int conn) const;
   // Connection handles created by the target via Connect().
   const std::vector<int>& ClientConnections() const { return client_conns_; }
 
@@ -165,7 +218,8 @@ class NetEmu {
     uint8_t remaining = 0;
   };
 
-  struct Sock {
+  // A socket's plain-value fields; Sock::Clear resets them by assignment.
+  struct SockFields {
     bool live = false;
     SockKind kind = SockKind::kStream;
     uint16_t port = 0;
@@ -174,14 +228,29 @@ class NetEmu {
     bool peer_closed = false;
     bool shut_down = false;
     bool reset = false;             // killed by a kConnReset fault
-    int refcount = 0;
-    std::deque<Bytes> rx;           // queued packets, boundaries preserved
-    size_t rx_front_consumed = 0;   // partial read offset into rx.front()
-    std::deque<int> pending_accept; // queued connection socket indices
-    std::vector<Bytes> tx;
     bool epoll_instance = false;
+    int refcount = 0;
+    size_t rx_front_consumed = 0;   // partial read offset into rx.front()
+  };
+
+  // Sockets are recycled, not rebuilt: Clear() returns one to the
+  // default-constructed state but keeps its containers' capacity. A new
+  // container member must be cleared there too.
+  struct Sock : SockFields {
+    PacketQueue rx;                     // queued packets, boundaries preserved
+    PacketQueue tx;                     // sent packets, boundaries as sent
+    std::vector<int> pending_accept;    // queued connection socket indices
     std::vector<std::pair<int, bool>> epoll_watch;  // (fd, want_read)
-    std::deque<FaultEntry> faults;  // FIFO fault queue (see QueueFault)
+    std::vector<FaultEntry> faults;     // FIFO fault queue (see QueueFault)
+
+    void Clear() {
+      static_cast<SockFields&>(*this) = SockFields{};
+      rx.clear();
+      tx.clear();
+      pending_accept.clear();
+      epoll_watch.clear();
+      faults.clear();
+    }
   };
 
   struct FdEntry {
@@ -191,6 +260,9 @@ class NetEmu {
   };
 
   int AllocSocket();
+  // Appends a cleared socket to sockets_, recycled from spare_sockets_ when
+  // one is there.
+  void AppendSocket();
   int AllocFd(int sock);
   Sock* SockForFd(int fd);
   bool Readable(const Sock& s) const;
@@ -211,6 +283,9 @@ class NetEmu {
 
   Config config_;
   std::vector<Sock> sockets_;
+  // Sockets a restore cut off the end of sockets_, kept for their buffers'
+  // capacity. Not snapshot state: AppendSocket clears one before reuse.
+  std::vector<Sock> spare_sockets_;
   std::vector<FdEntry> fds_;
   std::vector<int> client_conns_;
   int current_process_ = 0;

@@ -300,7 +300,7 @@ Program Canonicalize(const Program& program, const Spec& spec) {
     if (plan.has_value() && plan->arg != 0 && FaultArgIgnored(plan->kind)) {
       FaultPlan normalized = *plan;
       normalized.arg = 0;
-      op.data = normalized.Encode();
+      normalized.EncodeTo(op.data);
     }
   }
   return p;

@@ -58,9 +58,10 @@ struct FaultPlan {
            count <= kMaxFaultBurst;
   }
 
-  Bytes Encode() const {
-    return {static_cast<uint8_t>(kind), count, static_cast<uint8_t>(arg & 0xff),
-            static_cast<uint8_t>(arg >> 8)};
+  // Overwrites `out` with the 4-byte wire form, reusing its capacity.
+  void EncodeTo(Bytes& out) const {
+    out.assign({static_cast<uint8_t>(kind), count, static_cast<uint8_t>(arg & 0xff),
+                static_cast<uint8_t>(arg >> 8)});
   }
 
   // Strict decode: exactly 4 bytes and a well-formed plan, else nullopt.
@@ -77,7 +78,7 @@ struct FaultPlan {
   // Clamping decode for Program::Repair: any 4 bytes (short payloads are
   // zero-extended by the caller) become the nearest valid plan, so mutated
   // programs always re-verify.
-  static FaultPlan Sanitize(const Bytes& data) {
+  static FaultPlan Sanitize(ByteView data) {
     FaultPlan plan;
     if (!data.empty()) plan.kind = static_cast<FaultKind>(data[0] % kFaultKindCount);
     if (data.size() > 1) plan.count = data[1];

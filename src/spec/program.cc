@@ -48,22 +48,42 @@ struct ValueTracker {
 
 }  // namespace
 
+namespace {
+// Folds one op into an FNV-1a state; OpsHash and PrefixHashes share it.
+uint64_t HashOp(uint64_t h, const Op& op) {
+  h = Fnv1a64(&op.node_type, 1, h);
+  const uint32_t nargs = static_cast<uint32_t>(op.args.size());
+  h = Fnv1a64(&nargs, 4, h);
+  for (uint16_t a : op.args) {
+    h = Fnv1a64(&a, 2, h);
+  }
+  const uint32_t ndata = static_cast<uint32_t>(op.data.size());
+  h = Fnv1a64(&ndata, 4, h);
+  return Fnv1a64(op.data.data(), op.data.size(), h);
+}
+constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+
+bool IsPacketOp(const Op& op, const Spec& spec) {
+  return !op.is_snapshot() && op.node_type < spec.node_type_count() &&
+         spec.node_type(op.node_type).semantic == NodeSemantic::kPacket;
+}
+}  // namespace
+
 uint64_t Program::OpsHash(size_t end_op) const {
-  uint64_t h = 0xcbf29ce484222325ull;
+  uint64_t h = kFnvOffset;
   const size_t end = std::min(end_op, ops.size());
   for (size_t i = 0; i < end; i++) {
-    const Op& op = ops[i];
-    h = Fnv1a64(&op.node_type, 1, h);
-    const uint32_t nargs = static_cast<uint32_t>(op.args.size());
-    h = Fnv1a64(&nargs, 4, h);
-    for (uint16_t a : op.args) {
-      h = Fnv1a64(&a, 2, h);
-    }
-    const uint32_t ndata = static_cast<uint32_t>(op.data.size());
-    h = Fnv1a64(&ndata, 4, h);
-    h = Fnv1a64(op.data.data(), op.data.size(), h);
+    h = HashOp(h, ops[i]);
   }
   return h;
+}
+
+void Program::PrefixHashes(std::vector<uint64_t>& out) const {
+  out.resize(ops.size() + 1);
+  out[0] = kFnvOffset;
+  for (size_t i = 0; i < ops.size(); i++) {
+    out[i + 1] = HashOp(out[i], ops[i]);
+  }
 }
 
 Bytes Program::Serialize() const {
@@ -195,14 +215,19 @@ bool Program::Validate(const Spec& spec, std::string* error) const {
 
 void Program::Repair(const Spec& spec) {
   ValueTracker tracker;
-  std::vector<Op> repaired;
-  repaired.reserve(ops.size());
+  size_t kept = 0;  // ops [0, kept) are the repaired prefix
+  auto keep = [&](Op& op) {
+    if (&op != &ops[kept]) {
+      std::swap(op, ops[kept]);
+    }
+    kept++;
+  };
   bool seen_snapshot = false;
   for (Op& op : ops) {
     if (op.is_snapshot()) {
       if (!seen_snapshot) {
         seen_snapshot = true;
-        repaired.push_back(std::move(op));
+        keep(op);
       }
       continue;
     }
@@ -262,27 +287,31 @@ void Program::Repair(const Spec& spec) {
     // Fault payloads additionally carry semantic range rules (valid kind,
     // bounded burst); clamp them to the nearest well-formed plan.
     if (node.semantic == NodeSemantic::kFault) {
-      op.data = FaultPlan::Sanitize(op.data).Encode();
+      FaultPlan::Sanitize(op.data).EncodeTo(op.data);
     }
     arg = node.borrows.size();
     for (size_t c = 0; c < node.consumes.size(); c++) {
       tracker.Kill(op.args[arg + c]);
     }
     tracker.Produce(node);
-    repaired.push_back(std::move(op));
+    keep(op);
   }
-  ops = std::move(repaired);
+  ops.resize(kept);
 }
 
 std::vector<size_t> Program::PacketOpIndices(const Spec& spec) const {
   std::vector<size_t> out;
-  for (size_t i = 0; i < ops.size(); i++) {
-    if (!ops[i].is_snapshot() && ops[i].node_type < spec.node_type_count() &&
-        spec.node_type(ops[i].node_type).semantic == NodeSemantic::kPacket) {
+  PacketOpIndices(spec, 0, out);
+  return out;
+}
+
+void Program::PacketOpIndices(const Spec& spec, size_t first_op, std::vector<size_t>& out) const {
+  out.clear();
+  for (size_t i = first_op; i < ops.size(); i++) {
+    if (IsPacketOp(ops[i], spec)) {
       out.push_back(i);
     }
   }
-  return out;
 }
 
 void Program::StripSnapshotMarkers() {
@@ -292,14 +321,21 @@ void Program::StripSnapshotMarkers() {
 
 void Program::InsertSnapshotAfterPacket(const Spec& spec, size_t packet_index) {
   StripSnapshotMarkers();
-  const std::vector<size_t> packets = PacketOpIndices(spec);
-  if (packets.empty()) {
+  // The packet_index-th packet op, or the last one when there are fewer.
+  std::optional<size_t> packet;
+  size_t seen = 0;
+  for (size_t i = 0; i < ops.size() && seen <= packet_index; i++) {
+    if (IsPacketOp(ops[i], spec)) {
+      packet = i;
+      seen++;
+    }
+  }
+  if (!packet.has_value()) {
     return;
   }
-  const size_t clamped = packet_index < packets.size() ? packet_index : packets.size() - 1;
   Op marker;
   marker.node_type = kSnapshotOpcode;
-  ops.insert(ops.begin() + static_cast<long>(packets[clamped]) + 1, std::move(marker));
+  ops.insert(ops.begin() + static_cast<long>(*packet) + 1, std::move(marker));
 }
 
 std::optional<size_t> Program::SnapshotMarkerPos() const {

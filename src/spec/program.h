@@ -42,11 +42,14 @@ struct Program {
   Bytes Serialize() const;
   static std::optional<Program> Parse(const Bytes& wire, const Spec& spec);
 
-  // Incremental FNV-1a over ops [0, end_op) — allocation-free, for the
-  // per-exec RNG seeding and snapshot prefix matching hot paths (a full
-  // Serialize() per exec was a measured hot spot). Two programs whose op
-  // sequences differ hash differently (op/arg/data lengths are folded in).
+  // Incremental FNV-1a over ops [0, end_op) — allocation-free. Two
+  // programs whose op sequences differ hash differently (op/arg/data
+  // lengths are folded in).
   uint64_t OpsHash(size_t end_op) const;
+  // Every prefix's OpsHash in one pass: out[k] == OpsHash(k) for k in
+  // [0, ops.size()]. The engine's per-exec RNG seed and snapshot prefix
+  // matching read these instead of rehashing the input per question.
+  void PrefixHashes(std::vector<uint64_t>& out) const;
 
   // Affine type checking: every borrowed/consumed arg must reference an
   // existing, live value of the right edge type; consumed values die.
@@ -55,11 +58,15 @@ struct Program {
   // Rewrites invalid arg references to the nearest valid live value (or
   // drops ops with no candidate), so mutation output is always executable.
   // Also strips duplicate snapshot markers (only the first is honoured).
+  // Compacts in place: surviving ops keep their arg and data buffers.
   void Repair(const Spec& spec);
 
   // Indices of ops that deliver payload (semantic kPacket). The "number of
   // packets" the snapshot policies reason about.
   std::vector<size_t> PacketOpIndices(const Spec& spec) const;
+  // The same indices from `first_op` on, written into `out` (cleared first)
+  // so a caller's buffer keeps its capacity.
+  void PacketOpIndices(const Spec& spec, size_t first_op, std::vector<size_t>& out) const;
 
   // Removes any snapshot marker ops.
   void StripSnapshotMarkers();

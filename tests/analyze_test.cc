@@ -21,7 +21,9 @@ Bytes Plan(FaultKind kind, uint8_t count = 1, uint16_t arg = 0) {
   plan.kind = kind;
   plan.count = count;
   plan.arg = arg;
-  return plan.Encode();
+  Bytes wire;
+  plan.EncodeTo(wire);
+  return wire;
 }
 
 // conn; pkt; fault(kind); [pkt]

@@ -22,7 +22,9 @@ Program FaultedSeed(const Spec& spec) {
   ValueRef con = b.Connection();
   b.Packet(con, "USER anonymous\r\n");
   b.Packet(con, "PASS x\r\n");
-  b.Node("fault", {con}, FaultPlan{FaultKind::kShortRead, 2, 3}.Encode());
+  Bytes plan;
+  FaultPlan{FaultKind::kShortRead, 2, 3}.EncodeTo(plan);
+  b.Node("fault", {con}, plan);
   b.Packet(con, "CWD /tmp\r\n");
   Program p = *b.Build();
   return p;

@@ -270,6 +270,141 @@ TEST_P(NetEmuPropertyTest, SnapshotMidBurstEqualsUninterrupted) {
   }
 }
 
+// Drives `steps` random libc-shaped and fuzzer-facing calls over small fd
+// and connection-handle ranges, and returns everything observable: every
+// return value, every byte read, and validity of the handles touched. Two
+// emulators in the same state driven with equal seeds return equal
+// transcripts.
+std::vector<int64_t> Drive(NetEmu& net, uint64_t seed, int steps) {
+  Rng rng(seed);
+  std::vector<int64_t> out;
+  constexpr int kFds = 12;
+  constexpr int kConns = 12;
+  for (int step = 0; step < steps; step++) {
+    const int fd = static_cast<int>(rng.Below(kFds));
+    const int conn = static_cast<int>(rng.Below(kConns));
+    switch (rng.Below(12)) {
+      case 0:
+        out.push_back(net.Socket(rng.Chance(1, 4) ? SockKind::kDgram : SockKind::kStream));
+        break;
+      case 1:
+        out.push_back(net.Bind(fd, 80));
+        out.push_back(net.Listen(fd, 8));
+        break;
+      case 2:
+        out.push_back(net.QueueConnection(80));
+        break;
+      case 3:
+        out.push_back(net.Accept(fd));
+        break;
+      case 4: {
+        out.push_back(net.ValidConn(conn));
+        if (net.ValidConn(conn)) {
+          const Bytes pkt(1 + rng.Below(24), static_cast<uint8_t>(rng.NextByte()));
+          out.push_back(net.DeliverPacket(conn, pkt));
+        }
+        break;
+      }
+      case 5: {
+        uint8_t buf[32] = {};
+        const int r = net.Recv(fd, buf, 1 + rng.Below(sizeof(buf)));
+        out.push_back(r);
+        for (int i = 0; i < r; i++) {
+          out.push_back(buf[i]);
+        }
+        break;
+      }
+      case 6:
+        out.push_back(net.Send(fd, "response", 1 + rng.Below(8)));
+        break;
+      case 7: {
+        out.push_back(net.ValidConn(conn));
+        if (net.ValidConn(conn)) {
+          FaultPlan plan;
+          plan.kind = static_cast<FaultKind>(rng.Below(kFaultKindCount));
+          plan.count = static_cast<uint8_t>(1 + rng.Below(kMaxFaultBurst));
+          plan.arg = static_cast<uint16_t>(1 + rng.Below(16));
+          out.push_back(net.QueueFault(conn, plan));
+        }
+        break;
+      }
+      case 8: {
+        const int ep = net.EpollCreate();
+        out.push_back(ep);
+        out.push_back(net.EpollCtlAdd(ep, fd, true));
+        std::vector<int> ready;
+        out.push_back(net.EpollWait(ep, ready));
+        out.insert(out.end(), ready.begin(), ready.end());
+        break;
+      }
+      case 9:
+        out.push_back(net.Close(fd));
+        break;
+      case 10:
+        out.push_back(net.Shutdown(fd));
+        break;
+      case 11:
+        out.push_back(net.ValidConn(conn));
+        if (net.ValidConn(conn)) {
+          net.PeerClose(conn);
+        }
+        break;
+    }
+  }
+  out.push_back(static_cast<int64_t>(net.UndeliveredBytes()));
+  for (int c = 0; c < kConns; c++) {
+    for (ByteView pkt : net.Sent(c)) {
+      out.push_back(static_cast<int64_t>(pkt.size()));
+    }
+  }
+  return out;
+}
+
+// A listener with accepted connections: the state every blob grows from.
+void Listen(NetEmu& net, int conns) {
+  const int lfd = net.Socket(SockKind::kStream);
+  net.Bind(lfd, 80);
+  net.Listen(lfd, 8);
+  for (int i = 0; i < conns; i++) {
+    net.QueueConnection(80);
+    net.Accept(lfd);
+  }
+}
+
+TEST_P(NetEmuPropertyTest, RecycledSocketsNeverLeakAcrossRestore) {
+  // The blob to restore: a few sockets with queued rx/tx, faults and epoll
+  // watches.
+  NetEmu source;
+  Listen(source, 2);
+  Drive(source, GetParam(), 40);
+  const Bytes blob = source.Serialize();
+
+  // A dirty emulator: a larger socket table full of state, restored once to
+  // a one-socket blob (which moves the rest to the spare pool) and dirtied
+  // again, so the restore below both reuses spares and cuts sockets off.
+  NetEmu dirty;
+  Listen(dirty, 6);
+  Drive(dirty, GetParam() ^ 0xd1, 120);
+  NetEmu tiny;
+  Listen(tiny, 0);
+  ASSERT_TRUE(dirty.Deserialize(tiny.Serialize()));
+  Drive(dirty, GetParam() ^ 0xd2, 60);
+
+  NetEmu fresh;
+  ASSERT_TRUE(fresh.Deserialize(blob));
+  ASSERT_TRUE(dirty.Deserialize(blob));
+  EXPECT_EQ(fresh.Serialize(), blob);
+  EXPECT_EQ(dirty.Serialize(), blob);
+
+  // Same scripted tail on both: identical results and end state.
+  // faulted_bytes is observational and not serialized: compare deltas.
+  const uint64_t fresh_faulted = fresh.faulted_bytes();
+  const uint64_t dirty_faulted = dirty.faulted_bytes();
+  EXPECT_EQ(Drive(fresh, GetParam() ^ 0x7a, 80), Drive(dirty, GetParam() ^ 0x7a, 80));
+  EXPECT_EQ(fresh.Serialize(), dirty.Serialize());
+  EXPECT_EQ(fresh.faulted_bytes() - fresh_faulted, dirty.faulted_bytes() - dirty_faulted);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, NetEmuPropertyTest, ::testing::Values(1, 2, 3, 4, 5, 6));
 
 }  // namespace
