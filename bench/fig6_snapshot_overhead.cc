@@ -197,10 +197,10 @@ int main() {
   printf("(averaged wall-clock microseconds; lower is better)\n\n");
 
   // The Nyx snapshot paths are phase-instrumented (the vm-layer dirty-reset
-  // phase, src/vm/vm.cc; the snapshot-restore wrapper belongs to the engine,
-  // which this microbenchmark bypasses); with the profiler on, each VM
-  // size's sweep doubles as a phase-latency sample that lands next to
-  // table3's campaign breakdown in BENCH_phase_breakdown.json.
+  // and snapshot-create phases, src/vm/vm.cc; the snapshot-restore wrapper
+  // belongs to the engine, which this microbenchmark bypasses); with the
+  // profiler on, each VM size's sweep doubles as a phase-latency sample that
+  // lands next to table3's campaign breakdown in BENCH_phase_breakdown.json.
   const std::string phase_out = env::StringOr("NYX_PHASE_OUT", "BENCH_phase_breakdown.json");
   const bool was_enabled = telemetry::Enabled();
   telemetry::SetTelemetryEnabled(true);

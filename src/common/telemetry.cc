@@ -49,6 +49,8 @@ const char* PhaseName(Phase phase) {
       return "snapshot-restore";
     case Phase::kDirtyReset:
       return "dirty-reset";
+    case Phase::kSnapshotCreate:
+      return "snapshot-create";
     case Phase::kNetemu:
       return "netemu";
     case Phase::kGuestRun:

@@ -12,10 +12,10 @@
 //    shards. Counter bumps are relaxed atomics and safe from signal context
 //    (the SIGSEGV dirty-tracking handler bumps one).
 //  * A fixed phase taxonomy (enum Phase) covering the per-exec pipeline:
-//    mutate → verify → snapshot-restore → dirty-reset → netemu → guest-run →
-//    coverage-merge → frontier-sync → audit. Every phase owns a histogram of
-//    self-time (nested phases subtract their children, so the breakdown sums
-//    to wall time without double counting).
+//    mutate → verify → snapshot-restore → dirty-reset → snapshot-create →
+//    netemu → guest-run → coverage-merge → frontier-sync → audit. Every
+//    phase owns a histogram of self-time (nested phases subtract their
+//    children, so the breakdown sums to wall time without double counting).
 //  * ScopedPhase — RAII timer attributing wall time to a Phase. When
 //    telemetry is disabled (the default) construction is one relaxed atomic
 //    load and nothing else: the hot path stays within noise of an
@@ -56,6 +56,7 @@ enum class Phase : uint8_t {
   kVerify,          // bytecode verifier at trust boundaries
   kSnapshotRestore, // root/incremental restore incl. devices + aux blob
   kDirtyReset,      // dirty-page copy loops + tracker re-arm (inside restore)
+  kSnapshotCreate,  // root snapshot and incremental capture incl. aux blob
   kNetemu,          // emulated network: connection setup, packet delivery
   kGuestRun,        // target code running until it blocks on input
   kCoverageMerge,   // folding the exec trace into global coverage

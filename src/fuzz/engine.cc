@@ -266,7 +266,9 @@ ExecResult NyxEngine::RunInternal(const Program& input, CoverageMap& cov) {
         // the engine must not abort on one): ignore it.
         continue;
       }
-      telemetry::ScopedPhase phase(telemetry::Phase::kSnapshotRestore);
+      // Own self time: the aux blob; the Vm's nested snapshot-create scope
+      // holds the page capture.
+      telemetry::ScopedPhase phase(telemetry::Phase::kSnapshotCreate);
       vm_->CreateIncremental(SerializeInterpState(static_cast<uint32_t>(i + 1)));
       // The link hash covers the marker op itself, so a later match implies
       // the candidate input also carries the marker at this position and
@@ -310,6 +312,7 @@ ExecResult NyxEngine::RunInternal(const Program& input, CoverageMap& cov) {
           // resuming from.
           if (vm_->cur_depth() >= 1 && vm_->cur_depth() < config_.vm.snapshot_depth &&
               !ctx.crash().crashed) {
+            telemetry::ScopedPhase phase(telemetry::Phase::kSnapshotCreate);
             const size_t d =
                 vm_->PushSnapshot(SerializeInterpState(static_cast<uint32_t>(i + 1)));
             chain_.resize(d - 1);

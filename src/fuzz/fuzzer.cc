@@ -249,6 +249,7 @@ CampaignResult NyxFuzzer::Run(const CampaignLimits& limits) {
   result.incremental_creates = vm.incremental_creates;
   result.incremental_restores = vm.incremental_restores;
   result.root_restores = vm.root_restores;
+  result.root_pages = vm.root_pages;
   result.dirty_traps = vm.dirty_traps;
   result.hot_promotions = vm.hot_promotions;
   result.hot_demotions = vm.hot_demotions;

@@ -49,6 +49,7 @@ struct CampaignResult {
   uint64_t incremental_creates = 0;
   uint64_t incremental_restores = 0;
   uint64_t root_restores = 0;
+  uint64_t root_pages = 0;  // pages the root snapshot copied (VmStats)
   // Dirty tracking (VmStats): first-write traps taken, and the hot pages
   // that stay writable instead of trapping every exec (DESIGN.md §12).
   uint64_t dirty_traps = 0;

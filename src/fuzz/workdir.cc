@@ -156,6 +156,8 @@ void PopulateCampaignRegistry(telemetry::MetricRegistry& reg, const CampaignResu
   reg.RegisterGauge("corpus_size")->Set(result.corpus_size);
   reg.RegisterGauge("crashes")->Set(result.crashes.size());
   reg.RegisterCounter("root_restores")->Add(result.root_restores);
+  // Root snapshot size: only pages the guest ever wrote are copied.
+  reg.RegisterGauge("root_pages")->Set(result.root_pages);
   reg.RegisterCounter("inc_creates")->Add(result.incremental_creates);
   reg.RegisterCounter("inc_restores")->Add(result.incremental_restores);
   // Dirty tracking: first-write traps, and hot pages kept writable and
@@ -200,11 +202,11 @@ std::string RenderStatsText(const telemetry::MetricRegistry& reg) {
   static const char* kOrder[] = {
       "execs",          "vtime_seconds",  "execs_per_vsec", "branch_coverage",
       "edge_coverage",  "corpus_size",    "crashes",        "root_restores",
-      "inc_creates",    "inc_restores",   "dirty_traps",    "hot_promotions",
-      "hot_demotions",  "hot_skipped",    "hot_pages",      "contract_soft",
-      "contract_hard",  "pages_audited",  "divergences",    "faults_injected",
-      "faulted_bytes",  "semantic_dupes", "analyze_checks", "lock_acquired",
-      "lock_contended",
+      "root_pages",     "inc_creates",    "inc_restores",   "dirty_traps",
+      "hot_promotions", "hot_demotions",  "hot_skipped",    "hot_pages",
+      "contract_soft",  "contract_hard",  "pages_audited",  "divergences",
+      "faults_injected", "faulted_bytes", "semantic_dupes", "analyze_checks",
+      "lock_acquired",  "lock_contended",
   };
   const std::vector<telemetry::MetricRegistry::Entry> entries = reg.Entries();
   std::ostringstream os;

@@ -45,8 +45,7 @@
 //                   (src/vm/guest_memory.{h,cc}), and userfaultfd / uffd
 //                   ioctls anywhere. All page-protection changes flow
 //                   through GuestMemory so the tracker's view of which
-//                   pages are armed stays exact; one-off protection changes
-//                   that are not dirty tracking use nyx::RawProtect.
+//                   pages are armed stays exact.
 //   include-path    quoted project includes must use the full path from the
 //                   repository root ("src/...").
 //   local-warnings  -Wall/-Wextra/-Wno-* belong in the top-level
@@ -327,8 +326,7 @@ void LintSourceLines(const std::string& rel, const std::vector<std::string>& lin
       Report(rel, lineno, "raw-mprotect",
              "page-protection changes are banned outside src/vm/guest_memory.*, "
              "and userfaultfd everywhere; go through GuestMemory's dirty "
-             "tracking (or nyx::RawProtect for one-off non-tracking "
-             "protection changes)");
+             "tracking");
     }
 
     if (!env_impl && code.find("getenv") != std::string::npos) {

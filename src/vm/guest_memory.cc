@@ -112,12 +112,9 @@ void UnregisterRegion(GuestMemory* gm) {
   }
 }
 
-}  // namespace
-
-void SetUnresolvedFaultHook(UnresolvedFaultHook hook) {
-  g_unresolved_hook.store(hook, std::memory_order_release);
-}
-
+// mprotect that aborts on failure. The nyx_lint `raw-mprotect` rule bans
+// mprotect outside guest_memory.{h,cc}, so no page-protection change can
+// bypass the tracker.
 void RawProtect(void* addr, size_t len, int prot) {
   if (mprotect(addr, len, prot) != 0) {
     perror("mprotect");
@@ -125,9 +122,17 @@ void RawProtect(void* addr, size_t len, int prot) {
   }
 }
 
+}  // namespace
+
+void SetUnresolvedFaultHook(UnresolvedFaultHook hook) {
+  g_unresolved_hook.store(hook, std::memory_order_release);
+}
+
 GuestMemory::GuestMemory(size_t num_pages, size_t dirty_ring_capacity)
     : num_pages_(num_pages),
       tracker_(num_pages, dirty_ring_capacity),
+      written_(num_pages, 0),
+      written_list_(num_pages, 0),
       opened_(num_pages, 0),
       dirty_epoch_(num_pages, 0),
       hot_(num_pages, 0),
@@ -139,12 +144,14 @@ GuestMemory::GuestMemory(size_t num_pages, size_t dirty_ring_capacity)
       skipped_counter_(
           telemetry::MetricRegistry::Global().RegisterCounter("vm.hot_copies_skipped")),
       hot_gauge_(telemetry::MetricRegistry::Global().RegisterGauge("vm.hot_pages")) {
-  // One extra PROT_NONE guard page so a target running off the end of guest
-  // memory faults immediately and deterministically instead of silently
-  // reading whatever mapping happens to be adjacent. The guard page is never
-  // part of dirty tracking, so it is protected via the raw call.
-  void* p = mmap(nullptr, size_bytes() + kPageSize, PROT_READ | PROT_WRITE,
-                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  // Read-only from the start: set-up writes trap like any other, so the
+  // ever-written set covers every page that is not all zero. One extra
+  // PROT_NONE guard page so a target running off the end of guest memory
+  // faults immediately and deterministically instead of silently reading
+  // whatever mapping happens to be adjacent. The guard page is never part of
+  // dirty tracking, so it is protected via the raw call.
+  void* p = mmap(nullptr, size_bytes() + kPageSize, PROT_READ, MAP_PRIVATE | MAP_ANONYMOUS, -1,
+                 0);
   if (p == MAP_FAILED) {
     perror("mmap guest memory");
     abort();
@@ -187,14 +194,8 @@ void GuestMemory::ArmTracking() {
   NYX_DCHECK(thread_checker_.CalledOnValidThread());
   tracker_.Clear();
   ResetHotPages();
-  armed_ = true;
   opened_count_ = 0;
   Protect(0, num_pages_, PROT_READ);
-}
-
-void GuestMemory::DisarmTracking() {
-  armed_ = false;
-  Protect(0, num_pages_, PROT_READ | PROT_WRITE);
 }
 
 void GuestMemory::OpenForRestore(const uint32_t* pages, size_t n) {
@@ -233,13 +234,11 @@ void GuestMemory::SealAfterRestore() {
   EndEpoch();
   ProtectList(opened_.data(), opened_count_, PROT_READ);
   opened_count_ = 0;
-  armed_ = true;
 }
 
 void GuestMemory::ReArmDirtyPages() {
   NYX_DCHECK(thread_checker_.CalledOnValidThread());
   EndEpoch();
-  armed_ = true;
 }
 
 void GuestMemory::EndEpoch() {
@@ -288,9 +287,6 @@ void GuestMemory::ResetHotPages() {
 }
 
 bool GuestMemory::HandleFault(uintptr_t addr) {
-  if (!armed_) {
-    return false;
-  }
   // Contains() excludes the guard page, so a resolvable fault is in range.
   const uint32_t page = PageOf(addr - reinterpret_cast<uintptr_t>(base_));
   NYX_DCHECK_LT(page, num_pages_);
@@ -300,6 +296,12 @@ bool GuestMemory::HandleFault(uintptr_t addr) {
     return false;
   }
   tracker_.MarkDirty(page);
+  if (written_[page] == 0) {
+    written_[page] = 1;
+    const size_t n = written_count_.load(std::memory_order_relaxed);
+    written_list_[n] = page;
+    written_count_.store(n + 1, std::memory_order_release);
+  }
   // Re-enable writes for this single page. mprotect is async-signal-safe
   // in practice on Linux (it is a plain syscall); failure must not abort
   // from inside the handler, so it goes unresolved instead.

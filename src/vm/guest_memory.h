@@ -3,10 +3,16 @@
 // The paper relies on KVM's hardware-assisted dirty logging: the CPU traps
 // the first write to each page and reports it to the hypervisor. We
 // reproduce the signal in userspace with write protection (DESIGN.md §12):
-// the armed region is mprotect'ed read-only, and the first write per page
-// raises a SIGSEGV whose handler marks the page dirty and makes it writable
-// again. Every first write lands in a preallocated DirtyTracker stack, so
-// restore cost stays O(#dirty).
+// the region is mapped read-only from construction, and the first write per
+// page raises a SIGSEGV whose handler marks the page dirty and makes it
+// writable again. Every first write lands in a preallocated DirtyTracker
+// stack, so restore cost stays O(#dirty).
+//
+// Ever-written set. The handler also records each faulting page in a
+// monotone set that is never cleared. Tracking starts at construction, and
+// restores only ever write content captured from pages already in the set,
+// so every page outside it still reads as zero: a root snapshot copies the
+// set and nothing else (RootSnapshot).
 //
 // Restore protocol (used by Vm and the Agamotto manager):
 //   <read tracker, decide pages>
@@ -31,6 +37,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/common/sync.h"
@@ -47,13 +54,6 @@ namespace nyx {
 // false reinstates the default fatal behaviour.
 using UnresolvedFaultHook = bool (*)();
 void SetUnresolvedFaultHook(UnresolvedFaultHook hook);
-
-// The sanctioned raw mprotect wrapper for protection changes that are not
-// dirty tracking (guard pages, sealing read-only snapshot views). The
-// nyx_lint `raw-mprotect` rule bans direct mprotect calls outside
-// guest_memory.{h,cc}, so no page-protection change can bypass the tracker.
-// Aborts on failure.
-void RawProtect(void* addr, size_t len, int prot);
 
 // Dirty tracking has exactly one mechanism. The names below exist only
 // because the benchmark driver (hostbench/driver.cc) still sets and reports
@@ -87,14 +87,16 @@ class GuestMemory {
   TrackingMode mode() const { return TrackingMode::kMprotect; }
   TrackingMode requested_mode() const { return TrackingMode::kMprotect; }
 
-  // Write-protects the whole region and clears the dirty set. From this point
-  // every first write per page is recorded.
+  // Write-protects the whole region and clears the dirty set and the hot
+  // pages: a new root epoch. Tracking itself never stops; the ever-written
+  // set is kept.
   void ArmTracking();
 
-  // Makes everything writable and stops recording (used during setup).
-  void DisarmTracking();
-
-  bool armed() const { return armed_; }
+  // Every page ever written through a tracking fault, in first-write order.
+  // A superset of the pages that are not all zero.
+  std::span<const uint32_t> written_pages() const {
+    return {written_list_.data(), written_count_.load(std::memory_order_acquire)};
+  }
 
   // Makes still-protected pages writable without marking them dirty; the
   // restore path writes snapshot content through this window. Pages already
@@ -144,8 +146,13 @@ class GuestMemory {
  private:
   uint8_t* base_ = nullptr;
   size_t num_pages_;
-  bool armed_ = false;
   DirtyTracker tracker_;
+  // Ever-written set: a flag per page plus the list of flagged pages,
+  // preallocated because HandleFault fills them from the SIGSEGV handler.
+  // The count is atomic for the same reason as protect_calls_.
+  std::vector<uint8_t> written_;
+  std::vector<uint32_t> written_list_;
+  std::atomic<size_t> written_count_{0};
   // Atomic because HandleFault bumps it from inside the SIGSEGV handler;
   // a plain field lets the compiler cache reads across the faulting writes.
   std::atomic<uint64_t> protect_calls_{0};
@@ -181,7 +188,7 @@ class GuestMemory {
   // A region must live its whole life on the thread that constructed it
   // (the SIGSEGV handler only resolves faults for regions owned by the
   // faulting thread — DESIGN.md §8.1). Debug builds
-  // check that at every arm/disarm boundary instead of trusting the comment.
+  // check that at every arm and seal instead of trusting the comment.
   ThreadChecker thread_checker_;
 };
 

@@ -27,16 +27,24 @@ RootSnapshot::RootSnapshot(const GuestMemory& mem, const DeviceState& devices,
     perror("ftruncate");
     abort();
   }
-  void* w = mmap(nullptr, size_bytes_, PROT_READ | PROT_WRITE, MAP_SHARED, memfd_, 0);
-  if (w == MAP_FAILED) {
+  // Pages outside the ever-written set are all zero, and the memfd's holes
+  // read back as zero: copying the set alone gives a byte-identical image.
+  const std::span<const uint32_t> written = mem.written_pages();
+  for (const uint32_t p : written) {
+    const size_t off = static_cast<size_t>(p) * kPageSize;
+    if (pwrite(memfd_, mem.base() + off, kPageSize, static_cast<off_t>(off)) !=
+        static_cast<ssize_t>(kPageSize)) {
+      perror("pwrite root snapshot");
+      abort();
+    }
+  }
+  pages_ = written.size();
+  void* v = mmap(nullptr, size_bytes_, PROT_READ, MAP_SHARED, memfd_, 0);
+  if (v == MAP_FAILED) {
     perror("mmap root snapshot");
     abort();
   }
-  memcpy(w, mem.base(), size_bytes_);
-  // Keep a read-only view for restores; drop the writable one. Sealing the
-  // view is not dirty tracking, so it goes through the sanctioned raw call.
-  RawProtect(w, size_bytes_, PROT_READ);
-  view_ = static_cast<const uint8_t*>(w);
+  view_ = static_cast<const uint8_t*>(v);
 }
 
 RootSnapshot::~RootSnapshot() {

@@ -1,8 +1,10 @@
 // Root and incremental VM snapshots (paper sections 2.3 and 4.2).
 //
-// Root snapshot: a full copy of guest physical memory into a memfd, plus
-// device and disk state. Restoring copies back only the pages named by the
-// dirty stack.
+// Root snapshot: guest physical memory in a memfd, plus device and disk
+// state. Only the pages the guest ever wrote are copied (GuestMemory's
+// ever-written set); every other page is a hole that reads back as zero, so
+// creation costs O(#written), not O(VM size). Restoring copies back only the
+// pages named by the dirty stack.
 //
 // Incremental snapshot: "we simply remap the existing root snapshot to a
 // second location as Copy-On-Write pages. This way, the incremental snapshot
@@ -47,6 +49,8 @@ class RootSnapshot {
   }
   int memfd() const { return memfd_; }
   size_t size_bytes() const { return size_bytes_; }
+  // Pages copied into the memfd at creation.
+  size_t pages() const { return pages_; }
 
   const DeviceState& devices() const { return devices_; }
   const BlockDevice::RootLayer& disk() const { return disk_; }
@@ -54,6 +58,7 @@ class RootSnapshot {
  private:
   int memfd_ = -1;
   size_t size_bytes_ = 0;
+  size_t pages_ = 0;
   const uint8_t* view_ = nullptr;  // read-only shared mapping of the memfd
   DeviceState devices_;
   BlockDevice::RootLayer disk_;

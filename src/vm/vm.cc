@@ -20,6 +20,7 @@ Vm::Vm(const VmConfig& config)
 }
 
 void Vm::TakeRootSnapshot(const Bytes& aux) {
+  telemetry::ScopedPhase phase(telemetry::Phase::kSnapshotCreate);
   root_ = std::make_unique<RootSnapshot>(mem_, devices_, disk_);
   root_aux_ = aux;
   // Old mirrors map the previous root's memfd; the whole tree goes away.
@@ -151,7 +152,7 @@ size_t Vm::PushSnapshot(const Bytes& aux) {
   const size_t depth = cur_depth_ + 1;
   NYX_CHECK(depth <= config_.snapshot_depth)
       << "PushSnapshot beyond snapshot_depth " << config_.snapshot_depth;
-  telemetry::ScopedPhase phase(telemetry::Phase::kDirtyReset);
+  telemetry::ScopedPhase phase(telemetry::Phase::kSnapshotCreate);
 
   if (slots_.size() < depth) {
     slots_.resize(depth);
@@ -190,6 +191,7 @@ void Vm::CreateIncremental(const Bytes& aux) {
 VmStats Vm::stats() const {
   VmStats s = stats_;
   s.dirty_traps = mem_.tracker().total_marks();
+  s.root_pages = root_ != nullptr ? root_->pages() : 0;
   const HotPageStats& hot = mem_.hot_stats();
   s.hot_promotions = hot.promotions;
   s.hot_demotions = hot.demotions;

@@ -67,8 +67,12 @@ struct VmStats {
   uint64_t deep_restores = 0;         // restores to depth >= 2
   uint64_t pages_restored = 0;
   uint64_t pages_captured = 0;
-  // Pages newly logged dirty, i.e. first-write traps taken. Hot pages
-  // re-entering the dirty set are not counted.
+  // Pages the current root snapshot copied (the ever-written set when it
+  // was taken); the rest of guest memory is zero and stays a memfd hole.
+  uint64_t root_pages = 0;
+  // Pages newly logged dirty, i.e. first-write traps taken, set-up writes
+  // before the root snapshot included. Hot pages re-entering the dirty set
+  // are not counted.
   uint64_t dirty_traps = 0;
   // Hot pages (GuestMemory, DESIGN.md §12).
   uint64_t hot_promotions = 0;
@@ -97,8 +101,9 @@ class Vm {
 
   // Root snapshot ----------------------------------------------------------
 
-  // Captures the root snapshot of the current state and arms dirty tracking.
-  // `aux` is returned verbatim by current_aux() after every root restore.
+  // Captures the root snapshot of the current state (the pages ever
+  // written, GuestMemory::written_pages) and re-arms dirty tracking. `aux`
+  // is returned verbatim by current_aux() after every root restore.
   void TakeRootSnapshot(const Bytes& aux = {});
   bool has_root() const { return root_ != nullptr; }
   const RootSnapshot& root() const { return *root_; }

@@ -21,6 +21,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <string>
 
@@ -299,6 +300,25 @@ INSTANTIATE_TEST_SUITE_P(Workloads, AllocBudgetTest, ::testing::ValuesIn(kBudget
                          [](const ::testing::TestParamInfo<Budget>& info) {
                            return Ident(info.param.workload->name);
                          });
+
+// ---- root snapshot size ----------------------------------------------------
+
+// The root copies only the pages the guest ever wrote: a lightftp boot
+// writes 7 of its 1,024 pages. A structural bound, not a timing: a root
+// that copied the whole guest again would fail it.
+TEST(RootSnapshotSizeTest, LightFtpBootCopiesFewPages) {
+  Campaign c(kFtpRoot, 1);
+  ASSERT_EQ(c.Run(0).execs, 0u);
+  Vm& vm = c.fuzzer.engine().vm();
+  const uint64_t root_pages = vm.stats().root_pages;
+  EXPECT_GT(root_pages, 0u);
+  EXPECT_LE(root_pages, 16u);
+  for (uint32_t p = 0; p < vm.mem().num_pages(); p++) {
+    ASSERT_EQ(0, memcmp(vm.root().PagePtr(p), vm.mem().base() + static_cast<size_t>(p) * kPageSize,
+                        kPageSize))
+        << "page " << p;
+  }
+}
 
 }  // namespace
 }  // namespace nyx

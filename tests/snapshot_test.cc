@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/vm/snapshot.h"
+#include "src/vm/vm.h"
 
 namespace nyx {
 namespace {
@@ -138,6 +140,115 @@ TEST_F(SnapshotTest, DeviceAndDiskStateCaptured) {
   ASSERT_EQ(inc.disk().sectors.count(0), 1u);
   EXPECT_EQ(0, memcmp(inc.disk().sectors.at(0).data(), "newx", 4));
   EXPECT_EQ(0, memcmp(root.disk().data.data(), "orig", 4));
+}
+
+// `Snap` is RootSnapshot or IncrementalSnapshot: both expose PagePtr.
+template <typename Snap>
+void ExpectViewEqualsMemory(const Snap& snap, const GuestMemory& mem) {
+  for (uint32_t p = 0; p < mem.num_pages(); p++) {
+    ASSERT_EQ(0, memcmp(snap.PagePtr(p), mem.base() + static_cast<size_t>(p) * kPageSize,
+                        kPageSize))
+        << "page " << p;
+  }
+}
+
+// Sparse roots: a region with only a few written pages. The root copies the
+// ever-written set and leaves every other page a memfd hole.
+class SparseRootTest : public ::testing::Test {
+ protected:
+  SparseRootTest() : mem_(64), disk_(16) {
+    devices_.AddDevice("dev0", 16);
+    mem_.base()[3 * kPageSize] = 0x11;
+    mem_.base()[10 * kPageSize + kPageSize - 1] = 0x22;  // last byte of a page
+    mem_.base()[20 * kPageSize + 5] = 0x33;
+    mem_.base()[20 * kPageSize + 5] = 0;  // written back to all zeros
+    mem_.base()[63 * kPageSize + kPageSize - 1] = 0x44;  // last byte of the region
+  }
+
+  GuestMemory mem_;
+  DeviceState devices_;
+  BlockDevice disk_;
+};
+
+TEST_F(SparseRootTest, RootCopiesOnlyWrittenPagesAndViewEqualsMemory) {
+  EXPECT_EQ(mem_.written_pages().size(), 4u);
+  RootSnapshot root(mem_, devices_, disk_);
+  EXPECT_EQ(root.pages(), 4u);
+  ExpectViewEqualsMemory(root, mem_);
+  EXPECT_EQ(root.PagePtr(10)[kPageSize - 1], 0x22);
+  EXPECT_EQ(root.PagePtr(63)[kPageSize - 1], 0x44);
+}
+
+TEST_F(SparseRootTest, WrittenSetSurvivesArmingAndRestores) {
+  RootSnapshot root(mem_, devices_, disk_);
+  mem_.ArmTracking();
+  mem_.base()[40 * kPageSize] = 1;  // a hole in the root
+  const uint32_t pages[] = {40};
+  mem_.OpenForRestore(pages, 1);
+  mem_.RestorePage(40, root.PagePtr(40));
+  mem_.SealAfterRestore();
+  EXPECT_EQ(mem_.base()[40 * kPageSize], 0);
+  // Never cleared: arming and restores keep every page.
+  mem_.ArmTracking();
+  EXPECT_EQ(mem_.written_pages().size(), 5u);
+  EXPECT_EQ(mem_.written_pages().back(), 40u);
+}
+
+TEST_F(SparseRootTest, IncrementalCaptureAndRestoreOverHoles) {
+  RootSnapshot root(mem_, devices_, disk_);
+  mem_.ArmTracking();
+  IncrementalSnapshot inc(root);
+  mem_.base()[30 * kPageSize + 9] = 0x55;  // hole in the root
+  mem_.base()[3 * kPageSize + 1] = 0x66;   // page the root copied
+  inc.Capture(mem_, devices_, disk_);
+  mem_.ReArmDirtyPages();
+  ExpectViewEqualsMemory(inc, mem_);
+  Bytes at_capture(mem_.size_bytes());
+  memcpy(at_capture.data(), mem_.base(), at_capture.size());
+
+  // Dirty another hole and the root page, then restore from the mirror.
+  mem_.base()[31 * kPageSize] = 0x77;
+  mem_.base()[3 * kPageSize + 1] = 0x88;
+  const std::vector<uint32_t> dirty(mem_.tracker().dirty().begin(),
+                                    mem_.tracker().dirty().end());
+  mem_.OpenForRestore(dirty.data(), dirty.size());
+  for (const uint32_t p : dirty) {
+    mem_.RestorePage(p, inc.PagePtr(p));
+  }
+  mem_.SealAfterRestore();
+  EXPECT_EQ(0, memcmp(mem_.base(), at_capture.data(), at_capture.size()));
+
+  // A recapture without page 30 reverts the mirror's copy to the hole.
+  mem_.base()[3 * kPageSize + 1] = 0x99;
+  inc.Capture(mem_, devices_, disk_);
+  EXPECT_EQ(0, memcmp(inc.PagePtr(30), root.PagePtr(30), kPageSize));
+  EXPECT_EQ(inc.PagePtr(30)[9], 0);
+  EXPECT_EQ(inc.PagePtr(3)[1], 0x99);
+}
+
+TEST(SparseVmRootTest, ReMirrorOverHoles) {
+  VmConfig config;
+  config.mem_pages = 64;
+  config.disk_sectors = 16;
+  Vm vm(config);
+  uint8_t* mem = vm.mem().base();
+  mem[3 * kPageSize] = 0x11;
+  vm.TakeRootSnapshot();
+  EXPECT_EQ(vm.stats().root_pages, 1u);
+  // Captures over holes and a root page, each from the root state, across
+  // the re-mirror interval.
+  for (uint64_t i = 0; i <= kReMirrorInterval; i++) {
+    mem[(40 + i % 6) * kPageSize + 7] = static_cast<uint8_t>(i | 1);
+    mem[3 * kPageSize + 1] = static_cast<uint8_t>(i);
+    vm.CreateIncremental();
+    if (i + 1 >= kReMirrorInterval) {
+      SCOPED_TRACE("capture " + std::to_string(i));
+      ExpectViewEqualsMemory(vm.incremental(), vm.mem());
+    }
+    vm.RestoreRoot();
+  }
+  EXPECT_EQ(vm.incremental().remirrors(), 1u);
+  ExpectViewEqualsMemory(vm.root(), vm.mem());
 }
 
 // Property: capture + restore of random write sets is the identity.

@@ -255,6 +255,86 @@ TEST(VmTest, HotPageCountersFollowScriptedWrites) {
   EXPECT_EQ(global.RegisterGauge("vm.hot_pages")->Value(), 1u);
 }
 
+void ExpectRootEqualsMemory(Vm& vm) {
+  const GuestMemory& mem = vm.mem();
+  for (uint32_t p = 0; p < mem.num_pages(); p++) {
+    ASSERT_EQ(0, memcmp(vm.root().PagePtr(p), mem.base() + static_cast<size_t>(p) * kPageSize,
+                        kPageSize))
+        << "page " << p;
+  }
+}
+
+// A page first written after the root, captured by a push and re-armed out
+// of the dirty set is in neither the old root's pages nor the current dirty
+// set; a second root snapshot must still copy it.
+TEST(VmReRootTest, PageCapturedThenReArmedIsInNewRoot) {
+  Vm vm(SmallConfig());
+  vm.mem().base()[2 * kPageSize] = 1;
+  vm.TakeRootSnapshot();
+  EXPECT_EQ(vm.stats().root_pages, 1u);
+  vm.mem().base()[9 * kPageSize + 100] = 0x5a;  // a hole in the first root
+  vm.CreateIncremental();                        // captured, then re-armed
+  EXPECT_EQ(vm.mem().tracker().stack_size(), 0u);
+  vm.TakeRootSnapshot();
+  EXPECT_EQ(vm.stats().root_pages, 2u);
+  EXPECT_EQ(vm.root().PagePtr(9)[100], 0x5a);
+  ExpectRootEqualsMemory(vm);
+}
+
+// Property: re-rooting a used VM — after push, re-arm and restore cycles
+// that leave hot pages behind — gives a root equal to memory byte for byte,
+// and restores to it stay exact.
+class VmReRootPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(VmReRootPropertyTest, ReRootEqualsMemory) {
+  Rng rng(GetParam());
+  VmConfig config = SmallConfig();
+  config.snapshot_depth = 3;
+  Vm vm(config);
+  vm.mem().base()[rng.Below(vm.mem().size_bytes())] = rng.NextByte();
+  vm.TakeRootSnapshot();
+  auto write_some = [&](int n) {
+    // Page 5 is written every epoch, so it turns and stays hot.
+    vm.mem().base()[5 * kPageSize + rng.Below(64)] = static_cast<uint8_t>(rng.NextByte() | 1);
+    for (int i = 0; i < n; i++) {
+      vm.mem().base()[rng.Below(vm.mem().size_bytes())] = rng.Chance(1, 4) ? 0 : rng.NextByte();
+    }
+  };
+  for (int reroot = 0; reroot < 4; reroot++) {
+    for (int round = 0; round < 12; round++) {
+      write_some(6);
+      vm.PushSnapshot();
+      write_some(4);
+      if (rng.Chance(1, 2) && vm.cur_depth() < config.snapshot_depth) {
+        vm.PushSnapshot();
+        write_some(3);
+      }
+      vm.RestoreTo(1);
+      write_some(2);
+      if (rng.Chance(1, 3)) {
+        vm.RestoreRoot();
+      } else {
+        vm.DropIncremental();
+        vm.RestoreTo(0);
+      }
+    }
+    write_some(5);
+    if (rng.Chance(1, 2)) {
+      vm.PushSnapshot();  // leaves the state captured and re-armed
+    }
+    EXPECT_GT(vm.stats().hot_pages, 0u);
+    vm.TakeRootSnapshot();
+    ExpectRootEqualsMemory(vm);
+    Bytes image(vm.mem().size_bytes());
+    memcpy(image.data(), vm.mem().base(), image.size());
+    write_some(8);
+    vm.RestoreRoot();
+    ASSERT_EQ(0, memcmp(vm.mem().base(), image.data(), image.size())) << "reroot " << reroot;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, VmReRootPropertyTest, ::testing::Values(1, 2, 3, 4, 5, 6));
+
 // Property test: arbitrary interleavings of writes, incremental captures and
 // restores never corrupt state.
 class VmPropertyTest : public ::testing::TestWithParam<uint64_t> {};

@@ -97,6 +97,7 @@ TEST_F(WorkdirTest, SaveCampaignWritesEverything) {
   result.execs = 1234;
   result.vtime_seconds = 5.0;
   result.branch_coverage = 42;
+  result.root_pages = 7;
   result.dirty_traps = 17;
   result.hot_promotions = 3;
   result.hot_copies_skipped = 12;
@@ -118,6 +119,7 @@ TEST_F(WorkdirTest, SaveCampaignWritesEverything) {
   fclose(stats);
   EXPECT_NE(std::string(buf).find("execs            1234"), std::string::npos);
   EXPECT_NE(std::string(buf).find("branch_coverage  42"), std::string::npos);
+  EXPECT_NE(std::string(buf).find("root_pages       7"), std::string::npos);
   EXPECT_NE(std::string(buf).find("dirty_traps      17"), std::string::npos);
   EXPECT_NE(std::string(buf).find("hot_promotions   3"), std::string::npos);
   EXPECT_NE(std::string(buf).find("hot_skipped      12"), std::string::npos);
